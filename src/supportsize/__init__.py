@@ -15,7 +15,6 @@ from .chebyshev import (
     cheb_derivatives,
     cheb_eval,
     g_table,
-    poly_eval,
     poly_eval_direct,
     shifted_coeffs,
 )
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .estimators import (
     DEFAULT_CONFIG,
+    ESTIMATORS,
     Estimate,
     EstimatorConfig,
     chao_lee,
@@ -41,6 +41,7 @@ from .estimators import (
     good_toulmin,
     good_turing,
     plug_in,
+    run_estimator,
 )
 from .ingest import (
     Fingerprint,

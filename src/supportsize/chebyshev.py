@@ -24,21 +24,19 @@ from .errors import ParameterError
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Monomial coefficients a_0..a_L of P_L on [l, r] and weights g[0..L] for sample size n.
+    """Weights g[0..L] of the degree-L estimator on [l, r] for sample size n.
 
-    ``_a_lo`` and ``_g_lo`` hold the rounding residual of each exact rational
-    coefficient beyond its double in ``a``/``g`` (a double-double
-    representation), so downstream checks are not limited by the storage
-    rounding; estimation itself only ever needs the doubles.
+    ``_g_lo`` holds the rounding residual of each exact rational weight
+    beyond its double in ``g`` (a double-double representation), so
+    downstream checks are not limited by the storage rounding; estimation
+    itself only ever needs the doubles.
     """
 
     L: int
     l: float
     r: float
     n: float
-    a: np.ndarray
     g: np.ndarray
-    _a_lo: np.ndarray = None
     _g_lo: np.ndarray = None
 
 
@@ -101,9 +99,22 @@ def _shifted_coeffs_exact(L: int, l, r) -> list[Fraction]:
     return [-(scale**j) * derivs[j] / (math.factorial(j) * t0) for j in range(L + 1)]
 
 
+def _doubles(name: str, exact: list[Fraction]) -> np.ndarray:
+    """Round exact coefficients to doubles, rejecting any beyond the double range."""
+    out = []
+    for j, v in enumerate(exact):
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ParameterError(
+                f"{name}_{j} exceeds the double range; lower the degree or widen the interval"
+            ) from None
+    return np.array(out)
+
+
 def shifted_coeffs(L: int, l: float, r: float) -> np.ndarray:
     """Monomial coefficients a_0..a_L of P_L on [l, r]; a_0 is exactly -1."""
-    return np.array([float(a) for a in _shifted_coeffs_exact(L, l, r)])
+    return _doubles("a", _shifted_coeffs_exact(L, l, r))
 
 
 def g_table(L: int, l: float, r: float, n) -> CoefficientTable:
@@ -113,62 +124,9 @@ def g_table(L: int, l: float, r: float, n) -> CoefficientTable:
     a_exact = _shifted_coeffs_exact(L, l, r)
     nf = Fraction(n)
     g_exact = [a_exact[j] * math.factorial(j) / nf**j + 1 for j in range(L + 1)]
-    a_hi = [float(v) for v in a_exact]
-    a_lo = [float(v - Fraction(h)) for v, h in zip(a_exact, a_hi)]
-    g_hi = [float(v) for v in g_exact]
-    g_lo = [float(v - Fraction(h)) for v, h in zip(g_exact, g_hi)]
-    return CoefficientTable(
-        L=L,
-        l=float(l),
-        r=float(r),
-        n=float(n),
-        a=np.array(a_hi),
-        g=np.array(g_hi),
-        _a_lo=np.array(a_lo),
-        _g_lo=np.array(g_lo),
-    )
-
-
-# error-free float transformations for the compensated Horner scheme
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def poly_eval(table: CoefficientTable, x: float) -> float:
-    """P_L(x) by Horner's scheme with error-free compensation.
-
-    The a_j alternate in sign and largely cancel on [l, r], so each product
-    and sum carries its rounding error forward in a parallel accumulator,
-    together with the stored low-order coefficient parts; the result matches
-    the direct T_L form to near machine precision.
-    """
-    a = table.a
-    a_lo = table._a_lo if table._a_lo is not None else np.zeros_like(a)
-    s = float(a[-1])
-    comp = float(a_lo[-1])
-    for j in range(len(a) - 2, -1, -1):
-        p, ep = _two_prod(s, x)
-        s, es = _two_sum(p, float(a[j]))
-        comp = comp * x + (ep + es + float(a_lo[j]))
-    return s + comp
+    g = _doubles("g", g_exact)
+    g_lo = [float(v - Fraction(h)) for v, h in zip(g_exact, g)]
+    return CoefficientTable(L=L, l=float(l), r=float(r), n=float(n), g=g, _g_lo=np.array(g_lo))
 
 
 def poly_eval_direct(table: CoefficientTable, x: float) -> float:

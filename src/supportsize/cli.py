@@ -15,16 +15,9 @@ import sys
 import numpy as np
 
 from . import theory
+from .chebyshev import g_table, shifted_coeffs
 from .errors import ParameterError, SupportSizeError
-from .estimators import (
-    EstimatorConfig,
-    chao_lee,
-    chebyshev_estimate,
-    efron_thisted,
-    good_toulmin,
-    good_turing,
-    plug_in,
-)
+from .estimators import ESTIMATORS, EstimatorConfig, degree_params, run_estimator
 from .ingest import (
     TokenizerConfig,
     build_histogram,
@@ -36,7 +29,6 @@ from .ingest import (
 )
 from .sweep import (
     CSV_COLUMNS,
-    ESTIMATORS,
     SweepSpec,
     emit_csv,
     emit_json,
@@ -44,6 +36,20 @@ from .sweep import (
     run_sweep,
 )
 from .synth import parse_family
+
+
+def _report_error(name: str, message: str, **extra) -> None:
+    """Write the one-line JSON error record to stderr."""
+    json.dump({"error": name, "message": message, **extra}, sys.stderr)
+    sys.stderr.write("\n")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as the JSON error record, with exit code 2."""
+
+    def error(self, message):
+        _report_error("ArgumentError", message)
+        self.exit(2)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -56,7 +62,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="supportsize",
         description="Support-size estimation from samples or fingerprints, "
                     "simulation sweeps, and lower-bound diagnostics.",
@@ -237,7 +243,7 @@ def _write_records(records: list[dict], ns) -> None:
 
 
 def _cmd_estimate(ns) -> int:
-    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
+    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, k=ns.k, override_L=ns.degree)
     if ns.fingerprint:
         fp = read_fingerprint_file(ns.fingerprint)
     else:
@@ -261,21 +267,7 @@ def _cmd_estimate(ns) -> int:
         fp = fingerprint_of(build_histogram(tokens))
 
     name = ns.estimator
-    if name == "wy":
-        res = chebyshev_estimate(fp, ns.k, cfg)
-    elif name == "plugin":
-        res = plug_in(fp)
-    elif name == "gt":
-        res = good_turing(fp)
-    elif name == "cl1":
-        res = chao_lee(fp, 1)
-    elif name == "cl2":
-        res = chao_lee(fp, 2)
-    elif name == "et":
-        res = efron_thisted(fp, t=ns.t, J=ns.J)
-    else:
-        res = good_toulmin(fp, t=ns.t)
-
+    res = run_estimator(name, fp, cfg=cfg, t=ns.t, J=ns.J)
     value = res.value
     if ns.clamp:
         value = min(max(value, float(fp.distinct)), ns.k)
@@ -346,18 +338,16 @@ def _cmd_probe(ns) -> int:
 
 
 def _cmd_coeffs(ns) -> int:
-    from .estimators import degree_params
-    from .chebyshev import g_table
-
     cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
     L, l, r = degree_params(ns.k, ns.n, cfg)
-    table = g_table(L, l, r, ns.n)
+    a = shifted_coeffs(L, l, r)
+    g = g_table(L, l, r, ns.n).g
     out, close = _open_output(ns.output)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["j", "a_j", "g_j"])
         for j in range(L + 1):
-            writer.writerow([j, repr(float(table.a[j])), repr(float(table.g[j]))])
+            writer.writerow([j, repr(float(a[j])), repr(float(g[j]))])
     finally:
         if close:
             out.close()
@@ -435,13 +425,10 @@ def main(argv=None) -> int:
             return _cmd_coeffs(ns)
         return _cmd_theory(ns)
     except SupportSizeError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report_error(type(exc).__name__, str(exc))
         return 2
     except OSError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc),
-                   "path": getattr(exc, "filename", None)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report_error(type(exc).__name__, str(exc), path=getattr(exc, "filename", None))
         return 3
 
 

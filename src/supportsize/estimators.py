@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+from scipy.special import betainc
 
 from .chebyshev import g_table
 from .errors import DegenerateDegreeError, ParameterError, UndefinedEstimatorError
@@ -34,10 +36,12 @@ class EstimatorConfig:
     override_L: Optional[int] = None
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.c1 <= 0:
-            raise ParameterError(f"c0 and c1 must be positive, got c0={self.c0}, c1={self.c1}")
-        if self.k is not None and self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
+            raise ParameterError(
+                f"c0 and c1 must be positive and finite, got c0={self.c0}, c1={self.c1}"
+            )
+        if self.k is not None and not 1 <= self.k < math.inf:
+            raise ParameterError(f"k must be finite and >= 1, got {self.k}")
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -62,8 +66,8 @@ def degree_params(k: float, n: int, cfg: EstimatorConfig = DEFAULT_CONFIG):
     Logarithms are natural: with c0 = 0.45 this yields L = 4, 6, 9 at
     k = 32000, 1e6, 1e9, which no other base reproduces.
     """
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
+    if not 2 <= k < math.inf:
+        raise ParameterError(f"k must be finite and >= 2, got {k}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if cfg.override_L is not None:
@@ -104,18 +108,34 @@ def chebyshev_estimate(
     if fp.n < 1:
         raise ParameterError("chebyshev estimator needs at least one sample")
     L, l, r = degree_params(k, fp.n, cfg)
-    table = g_table(L, l, r, fp.n)
-    g = table.g
-    value = math.fsum(
-        (g[j] if j <= L else 1.0) * c for j, c in fp.items()
-    )
+    value = _linear(fp, g_table(L, l, r, fp.n).g.__getitem__, L)
     return Estimate.of(value, "chebyshev", n=fp.n, k=k, L=L, l=l, r=r,
                        c0=cfg.c0, c1=cfg.c1)
 
 
+def _linear(
+    fp: Fingerprint, weight: Optional[Callable[[int], float]] = None, cutoff: float = 0
+) -> float:
+    """fsum_j w_j h_j over the fingerprint, with w_j = weight(j) up to ``cutoff`` and 1 past it.
+
+    Every linear estimator here is this sum for its own weights.  ``weight``
+    is called only at multiplicities the fingerprint holds.  A weight or term
+    that is not a finite double leaves the estimator undefined on ``fp``.
+    """
+    try:
+        terms = [(weight(j) if j <= cutoff else 1.0) * h for j, h in fp.items()]
+        if all(map(math.isfinite, terms)):
+            return math.fsum(terms)
+    except OverflowError:
+        pass
+    raise UndefinedEstimatorError(
+        "a weight or the weighted sum is not a finite double on this fingerprint"
+    )
+
+
 def plug_in(fp: Fingerprint) -> Estimate:
     """Number of distinct observed symbols."""
-    return Estimate.of(float(fp.distinct), "plugin", n=fp.n)
+    return Estimate.of(_linear(fp), "plugin", n=fp.n)
 
 
 def _coverage(fp: Fingerprint) -> float:
@@ -170,23 +190,17 @@ def efron_thisted(fp: Fingerprint, t: float = 1.0, J: int = 10) -> Estimate:
     """Binomial-smoothed series estimator (Efron & Thisted 1976).
 
     value = plug_in + sum_{j=1..J} (-1)^(j+1) t^j b_j h_j with
-    b_j = P[Binom(J, 1/(t+1)) >= j].
+    b_j = P[Binom(J, 1/(t+1)) >= j], the regularized incomplete beta
+    I_{1/(t+1)}(j, J-j+1), evaluated at observed j only.
     """
     if fp.n < 1:
         raise ParameterError("Efron-Thisted estimator needs at least one sample")
-    if t <= 0:
-        raise ParameterError(f"t must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
     if J < 1:
         raise ParameterError(f"J must be a positive integer, got {J}")
     q = 1.0 / (t + 1.0)
-    # b_j as upper binomial tails, accumulated from the pmf
-    pmf = [math.comb(J, m) * q**m * (1 - q) ** (J - m) for m in range(J + 1)]
-    value = float(fp.distinct)
-    for j in range(1, J + 1):
-        hj = fp.get(j)
-        if hj:
-            bj = sum(pmf[j:])
-            value += (-1.0) ** (j + 1) * t**j * bj * hj
+    value = _linear(fp, lambda j: 1.0 - (-t) ** j * float(betainc(j, J - j + 1, q)), J)
     return Estimate.of(value, "efron_thisted", n=fp.n, t=t, J=J)
 
 
@@ -194,9 +208,34 @@ def good_toulmin(fp: Fingerprint, t: float = 1.0) -> Estimate:
     """Unsmoothed extrapolation series: plug_in + sum_j (-1)^(j+1) t^j h_j (Good & Toulmin 1956)."""
     if fp.n < 1:
         raise ParameterError("Good-Toulmin estimator needs at least one sample")
-    if t <= 0:
-        raise ParameterError(f"t must be > 0, got {t}")
-    value = float(fp.distinct)
-    for j, hj in fp.items():
-        value += (-1.0) ** (j + 1) * t**j * hj
+    if not 0 < t < math.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
+    value = _linear(fp, lambda j: 1.0 - (-t) ** j, math.inf)
     return Estimate.of(value, "good_toulmin", n=fp.n, t=t)
+
+
+# The one token -> estimator table, shared by the CLI, sweeps and probes.
+# Entries are called as fn(fp, k, cfg, t, J); only et and gtoulmin use t and J.
+ESTIMATORS = {
+    "wy": lambda fp, k, cfg, t, J: chebyshev_estimate(fp, k, cfg),
+    "plugin": lambda fp, k, cfg, t, J: plug_in(fp),
+    "gt": lambda fp, k, cfg, t, J: good_turing(fp),
+    "cl1": lambda fp, k, cfg, t, J: chao_lee(fp, 1),
+    "cl2": lambda fp, k, cfg, t, J: chao_lee(fp, 2),
+    "et": lambda fp, k, cfg, t, J: efron_thisted(fp, t, J),
+    "gtoulmin": lambda fp, k, cfg, t, J: good_toulmin(fp, t),
+}
+
+
+def run_estimator(
+    token: str,
+    fp: Fingerprint,
+    k: Optional[float] = None,
+    cfg: EstimatorConfig = DEFAULT_CONFIG,
+    t: float = 1.0,
+    J: int = 10,
+) -> Estimate:
+    """Run the estimator registered under ``token`` in ``ESTIMATORS``."""
+    if token not in ESTIMATORS:
+        raise ParameterError(f"unknown estimator {token!r}; choose from {sorted(ESTIMATORS)}")
+    return ESTIMATORS[token](fp, k, cfg, t, J)

@@ -17,28 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UndefinedEstimatorError
-from .estimators import (
-    EstimatorConfig,
-    DEFAULT_CONFIG,
-    chao_lee,
-    chebyshev_estimate,
-    efron_thisted,
-    good_toulmin,
-    good_turing,
-    plug_in,
-)
+from .estimators import ESTIMATORS, DEFAULT_CONFIG, EstimatorConfig, run_estimator
+from .ingest import Fingerprint
 from .synth import DiscreteDistribution, effective_k, sample_fingerprint
-
-# estimator registry: CLI/sweep token -> callable(fp, k, cfg) -> value
-ESTIMATORS = {
-    "wy": lambda fp, k, cfg: chebyshev_estimate(fp, k, cfg).value,
-    "plugin": lambda fp, k, cfg: plug_in(fp).value,
-    "gt": lambda fp, k, cfg: good_turing(fp).value,
-    "cl1": lambda fp, k, cfg: chao_lee(fp, 1).value,
-    "cl2": lambda fp, k, cfg: chao_lee(fp, 2).value,
-    "et": lambda fp, k, cfg: efron_thisted(fp).value,
-    "gtoulmin": lambda fp, k, cfg: good_toulmin(fp).value,
-}
 
 CSV_COLUMNS = ["estimator", "n", "mean_estimate", "rmse", "std_dev", "trials", "undefined_count"]
 
@@ -82,6 +63,21 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, path)]))
 
 
+def _trial_value(
+    estimator: str, fp: Fingerprint, k: float, cfg: EstimatorConfig
+) -> Optional[float]:
+    """One estimator's value on one trial's sample, or None where it is undefined.
+
+    On an empty sample only the plug-in count (zero) is defined.
+    """
+    if fp.n == 0 and estimator != "plugin":
+        return None
+    try:
+        return run_estimator(estimator, fp, k, cfg).value
+    except UndefinedEstimatorError:
+        return None
+
+
 def run_sweep(spec: SweepSpec, cfg: EstimatorConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """Mean/RMSE/stddev of each estimator at each n, against the true support size.
 
@@ -91,41 +87,31 @@ def run_sweep(spec: SweepSpec, cfg: EstimatorConfig = DEFAULT_CONFIG) -> list[Sw
     """
     k = effective_k(spec.family)
     s_true = spec.family.support_size
-    values: dict[str, dict[int, list[float]]] = {e: {} for e in spec.estimators}
-    undefined: dict[str, dict[int, int]] = {e: {} for e in spec.estimators}
+    cells: dict[tuple[str, int], list] = {(e, n): [] for e in spec.estimators for n in spec.n_grid}
     for ni, n in enumerate(spec.n_grid):
-        for est in spec.estimators:
-            values[est][n] = []
-            undefined[est][n] = 0
         for t in range(spec.trials):
             rng = trial_rng(spec.seed, ni, t)
             fp = sample_fingerprint(spec.family, n, rng, spec.sampling)
             for est in spec.estimators:
-                try:
-                    if fp.n == 0 and est != "plugin":
-                        raise UndefinedEstimatorError("empty sample")
-                    values[est][n].append(ESTIMATORS[est](fp, k, cfg))
-                except UndefinedEstimatorError:
-                    undefined[est][n] += 1
+                cells[est, n].append(_trial_value(est, fp, k, cfg))
     rows = []
-    for est in spec.estimators:
-        for n in spec.n_grid:
-            vals = np.array(values[est][n])
-            bad = undefined[est][n]
-            if vals.size == 0:
-                rows.append(SweepRow(est, n, None, None, None, spec.trials, bad))
-                continue
-            rows.append(
-                SweepRow(
-                    estimator=est,
-                    n=n,
-                    mean_estimate=float(vals.mean()),
-                    rmse=float(np.sqrt(np.mean((vals - s_true) ** 2))),
-                    std_dev=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                    trials=spec.trials,
-                    undefined_count=bad,
-                )
+    for (est, n), cell in cells.items():
+        vals = np.array([v for v in cell if v is not None])
+        bad = len(cell) - vals.size
+        if vals.size == 0:
+            rows.append(SweepRow(est, n, None, None, None, spec.trials, bad))
+            continue
+        rows.append(
+            SweepRow(
+                estimator=est,
+                n=n,
+                mean_estimate=float(vals.mean()),
+                rmse=float(np.sqrt(np.mean((vals - s_true) ** 2))),
+                std_dev=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+                trials=spec.trials,
+                undefined_count=bad,
             )
+        )
     return rows
 
 
@@ -188,22 +174,14 @@ def probe_sample_complexity(
         ceiling = int(10 * k * math.log(k))
     s_true = family.support_size
     tol = epsilon * k
-    fn = ESTIMATORS[estimator]
     evaluations: list[tuple[int, float]] = []
 
     def failure_freq(n: int, reps: int, salt: int) -> float:
         failures = 0
         for t in range(reps):
             rng = trial_rng(seed, salt, n, t)
-            fp = sample_fingerprint(family, n, rng, sampling)
-            try:
-                if fp.n == 0:
-                    raise UndefinedEstimatorError("empty sample")
-                val = fn(fp, k, cfg)
-            except UndefinedEstimatorError:
-                failures += 1
-                continue
-            if abs(val - s_true) >= tol:
+            val = _trial_value(estimator, sample_fingerprint(family, n, rng, sampling), k, cfg)
+            if val is None or abs(val - s_true) >= tol:
                 failures += 1
         freq = failures / reps
         evaluations.append((n, freq))

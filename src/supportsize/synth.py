@@ -30,10 +30,10 @@ class DiscreteDistribution:
         object.__setattr__(self, "masses", masses)
         if masses.ndim != 1 or masses.size == 0:
             raise ParameterError("masses must be a nonempty 1-d array")
-        if np.any(masses <= 0):
+        if not np.all(masses > 0):
             raise ParameterError("all masses must be strictly positive")
         total = math.fsum(masses.tolist())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ParameterError(f"masses must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "min_mass", float(masses.min()))
         object.__setattr__(self, "_alias_cache", None)
@@ -69,8 +69,8 @@ def make_zipf(k: int, alpha: float) -> DiscreteDistribution:
     """p_i proportional to i^(-alpha), i = 1..k."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if alpha < 0:
-        raise ParameterError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ParameterError(f"alpha must be finite and >= 0, got {alpha}")
     i = np.arange(1, k + 1, dtype=float)
     return _normalized(i**-alpha, f"zipf:k={k},alpha={alpha:g}")
 
@@ -189,13 +189,15 @@ def parse_family(spec: str) -> DiscreteDistribution:
             if not val:
                 raise ParameterError(f"bad family argument {part!r} in {spec!r}")
             args[key.strip()] = val.strip()
+    if name not in ("uniform", "zipf", "mixture"):
+        raise ParameterError(f"unknown family {name!r}; expected uniform, zipf or mixture")
     try:
-        if name == "uniform":
-            return make_uniform(int(args["k"]))
-        if name == "zipf":
-            return make_zipf(int(args["k"]), float(args.get("alpha", 1.0)))
-        if name == "mixture":
-            return make_mixture(int(args["k"]))
+        k = int(args["k"])
+        alpha = float(args.get("alpha", 1.0))
     except KeyError as exc:
         raise ParameterError(f"family {spec!r} is missing argument {exc}") from exc
-    raise ParameterError(f"unknown family {name!r}; expected uniform, zipf or mixture")
+    except ValueError as exc:
+        raise ParameterError(f"family {spec!r} has a malformed number: {exc}") from exc
+    if name == "zipf":
+        return make_zipf(k, alpha)
+    return make_uniform(k) if name == "uniform" else make_mixture(k)

@@ -11,7 +11,6 @@ from supportsize import (
     cheb_derivatives,
     cheb_eval,
     g_table,
-    poly_eval,
     poly_eval_direct,
     shifted_coeffs,
 )
@@ -142,10 +141,9 @@ def test_g_table_g0_always_zero():
 
 def test_g_table_weight_identity():
     table = g_table(5, 0.001, 0.02, 400)
+    a = shifted_coeffs(5, 0.001, 0.02)
     for j in range(1, 6):
-        assert table.g[j] == pytest.approx(
-            table.a[j] * math.factorial(j) / 400.0**j + 1.0, rel=1e-12
-        )
+        assert table.g[j] == pytest.approx(a[j] * math.factorial(j) / 400.0**j + 1.0, rel=1e-12)
 
 
 def test_g_table_fig1_configuration_signs():
@@ -163,41 +161,22 @@ def test_g_table_requires_positive_n():
         g_table(2, 0.1, 0.3, 0)
 
 
-def test_poly_eval_at_zero_is_minus_one():
-    for L, l, r in [(1, 0.1, 0.4), (6, 1e-6, 1e-4), (12, 0.001, 0.03)]:
-        table = g_table(L, l, r, 100)
-        assert poly_eval(table, 0.0) == -1.0
-
-
-def test_poly_eval_degree_one_root_at_midpoint():
-    table = g_table(1, 0.05, 0.25, 10)
-    assert abs(poly_eval(table, 0.15)) < 1e-15
-
-
-def test_poly_eval_endpoint_magnitude():
+def test_direct_evaluation_endpoint_magnitude():
     for L, l, r in [(3, 0.01, 0.3), (8, 1e-5, 4e-4)]:
         table = g_table(L, l, r, 100)
         x0 = -(r + l) / (r - l)
         expected = 1.0 / abs(cheb_eval(L, x0))
         for x in (l, r):
-            assert abs(poly_eval(table, x)) == pytest.approx(expected, rel=1e-9)
             assert abs(poly_eval_direct(table, x)) == pytest.approx(expected, rel=1e-9)
 
 
-def test_two_evaluation_routes_agree():
-    rng = np.random.default_rng(42)
-    for L in range(1, 13):
-        k = float(10 ** rng.uniform(2.5, 6.5))
-        n = int(rng.integers(50, 2000))
-        l, r = 1.0 / k, 0.5 * math.log(k) / n
-        if r <= l * 1.01:
-            continue
-        table = g_table(L, l, r, n)
-        x0 = -(r + l) / (r - l)
-        sup = 1.0 / abs(cheb_eval(L, x0))
-        for x in np.linspace(l, r, 197):
-            diff = abs(poly_eval(table, x) - poly_eval_direct(table, x))
-            assert diff <= 1e-9 * sup
+def test_coefficients_beyond_double_range_name_their_index():
+    # k = n = 1e9 at degree 40: the p-space a_j leave the double range while
+    # the weights g_j stay finite
+    L, l, r = 40, 1e-9, 0.5 * math.log(1e9) / 1e9
+    with pytest.raises(ParameterError, match=r"a_\d+ exceeds the double range"):
+        shifted_coeffs(L, l, r)
+    assert np.isfinite(g_table(L, l, r, 10**9).g).all()
 
 
 def test_equioscillation_on_interval():

@@ -191,6 +191,43 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     assert "k" in rec["message"]
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["coeffs", "--k", "1e9", "--n", "1000000000", "--degree", "40"], "ParameterError"),
+    (["estimate", "--k", "1e6", "--estimator", "gtoulmin", "--t", "2"], "UndefinedEstimatorError"),
+    (["estimate", "--k", "1e6", "--estimator", "et", "--t", "2", "--J", "1100"],
+     "UndefinedEstimatorError"),
+    (["estimate", "--k", "nan"], "ParameterError"),
+    (["estimate", "--k", "inf"], "ParameterError"),
+    (["estimate", "--k", "1e6", "--c0", "nan"], "ParameterError"),
+    (["estimate", "--k", "1e6", "--estimator", "et", "--t", "nan"], "ParameterError"),
+    (["estimate", "--k", "1e6", "--J", "nan"], "ArgumentError"),
+    (["simulate", "--family", "uniform:k=nan", "--n-grid", "10"], "ParameterError"),
+    (["probe", "--family", "uniform:k=inf", "--epsilon", "0.3"], "ParameterError"),
+])
+def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
+    path = tmp_path / "fp.txt"
+    write_fingerprint_file(Fingerprint(h={1100: 1}, n=1100), path)
+    if argv[0] == "estimate":
+        argv = argv + ["--fingerprint", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+def test_estimate_degree_40_at_k_1e9(tmp_path, capsys):
+    path = tmp_path / "fp.txt"
+    path.write_text("1 1000000000\n")
+    code, out, _ = run_cli(capsys, "estimate", "--fingerprint", str(path),
+                           "--k", "1e9", "--degree", "40")
+    assert code == 0
+    assert json.loads(out)["L"] == 40
+
+
 def test_io_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "estimate", "--fingerprint", "/nonexistent/fp.txt",
                            "--k", "100")

@@ -60,8 +60,9 @@ def test_degree_rule_interval_floor_in_coupon_collector_regime():
 
 
 def test_degree_rule_preconditions():
-    with pytest.raises(ParameterError):
-        degree_params(1, 100)
+    for k in (1, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            degree_params(k, 100)
     with pytest.raises(ParameterError):
         degree_params(100, 0)
 
@@ -127,10 +128,17 @@ def test_efron_thisted_examples():
     tiny = efron_thisted(fp_of({1: 2, 2: 1}), t=1e-12, J=2)
     assert tiny.value == pytest.approx(3.0, abs=1e-9)
 
-    with pytest.raises(ParameterError):
-        efron_thisted(fp_of({1: 1}), t=0.0)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            efron_thisted(fp_of({1: 1}), t=t)
     with pytest.raises(ParameterError):
         efron_thisted(fp_of({1: 1}), J=0)
+
+    # b_j is evaluated at observed j only: a huge J costs nothing extra,
+    # and b_1 = b_2 = 1 - O(2^-J)
+    assert efron_thisted(fp_of({1: 2, 2: 1}), t=1.0, J=10**9).value == pytest.approx(4.0)
+    # stable b_j: the binomial pmf of J = 1100 no longer overflows
+    assert efron_thisted(fp_of({1100: 1}), t=0.5, J=1100).value == pytest.approx(1.0)
 
 
 def test_good_toulmin_examples():
@@ -139,6 +147,17 @@ def test_good_toulmin_examples():
     fp = fp_of({2: 3, 4: 2})
     assert good_toulmin(fp, t=1.0).value == pytest.approx(5 - 5)
     assert good_toulmin(fp, t=1e-12).value == pytest.approx(5.0, abs=1e-9)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            good_toulmin(fp, t=t)
+
+
+def test_series_weights_beyond_double_range_are_undefined():
+    fp = fp_of({1100: 1})  # t^j = 2^1100 is not a double
+    with pytest.raises(UndefinedEstimatorError):
+        good_toulmin(fp, t=2.0)
+    with pytest.raises(UndefinedEstimatorError):
+        efron_thisted(fp, t=2.0, J=1100)
 
 
 def test_chebyshev_estimate_fully_observed_reduces_to_plug_in():
@@ -209,7 +228,7 @@ def test_shakespeare_reproduction_exact():
 
 
 def test_estimator_config_validation():
-    with pytest.raises(ParameterError):
-        EstimatorConfig(c0=0.0)
-    with pytest.raises(ParameterError):
-        EstimatorConfig(k=0.5)
+    for kwargs in ({"c0": 0.0}, {"c0": math.nan}, {"c1": math.inf}, {"k": 0.5},
+                   {"k": math.nan}, {"k": math.inf}):
+        with pytest.raises(ParameterError):
+            EstimatorConfig(**kwargs)

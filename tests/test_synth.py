@@ -76,6 +76,8 @@ def test_distribution_invariants_enforced():
         DiscreteDistribution(masses=np.array([0.5, 0.0, 0.5]))
     with pytest.raises(ParameterError):
         DiscreteDistribution(masses=np.array([0.6, 0.5]))
+    with pytest.raises(ParameterError):
+        DiscreteDistribution(masses=np.array([np.nan, np.nan]))
 
 
 def test_family_membership_in_model_class():
@@ -163,3 +165,7 @@ def test_parse_family():
         parse_family("zipf:alpha=1")
     with pytest.raises(ParameterError):
         parse_family("zipf:k")
+    for spec in ("uniform:k=nan", "uniform:k=inf", "mixture:k=1e400", "zipf:k=5,alpha=x",
+                 "zipf:k=2,alpha=nan", "zipf:k=5,alpha=inf"):
+        with pytest.raises(ParameterError):
+            parse_family(spec)
