@@ -60,9 +60,6 @@ from .sweep import (
     ProbeResult,
     SweepRow,
     SweepSpec,
-    emit_csv,
-    emit_json,
-    parse_csv_rows,
     probe_sample_complexity,
     run_sweep,
     trial_rng,

@@ -6,9 +6,10 @@ normalized so the result equals -1 at the origin:
     P_L(x) = -T_L((2x - r - l)/(r - l)) / T_L(-(r + l)/(r - l)) = sum_j a_j x^j
 
 The linear-estimator weights are g[j] = a_j * j! / n^j + 1 for 1 <= j <= L and
-g[0] = 0.  Because the a_j alternate in sign with large magnitudes, every
-coefficient is computed in exact rational arithmetic and rounded only once, at
-the end.
+g[0] = 0, computed as 1 - s^j T_L^(j)(x0) / T_L(x0) with s = 2/(n (r - l)) and
+x0 = -(r + l)/(r - l).  Because the a_j alternate in sign with large
+magnitudes, every coefficient is computed in exact rational arithmetic and
+rounded only once, at the end.
 """
 
 from __future__ import annotations
@@ -86,17 +87,20 @@ def cheb_derivatives(L: int, x: float, jmax: int) -> np.ndarray:
     return np.array([float(v) for v in vals])
 
 
-def _shifted_coeffs_exact(L: int, l, r) -> list[Fraction]:
+def _origin_derivs(L: int, l, r) -> tuple[list[Fraction], Fraction]:
+    """T_L^(0..L)(x0) at the image x0 = -(r + l)/(r - l) of the origin, and the
+    slope 2/(r - l) of the map from [l, r] onto [-1, 1], both exact."""
     if L < 1:
         raise ParameterError(f"degree must be >= 1, got {L}")
     lf, rf = Fraction(l), Fraction(r)
     if not 0 < lf < rf:
         raise ParameterError(f"need 0 < l < r, got l={l}, r={r}")
-    x0 = -(rf + lf) / (rf - lf)
-    derivs = _cheb_derivs_exact(L, x0, L)
-    t0 = derivs[0]
-    scale = Fraction(2) / (rf - lf)
-    return [-(scale**j) * derivs[j] / (math.factorial(j) * t0) for j in range(L + 1)]
+    return _cheb_derivs_exact(L, -(rf + lf) / (rf - lf), L), 2 / (rf - lf)
+
+
+def _shifted_coeffs_exact(L: int, l, r) -> list[Fraction]:
+    derivs, slope = _origin_derivs(L, l, r)
+    return [-(slope**j) * derivs[j] / (math.factorial(j) * derivs[0]) for j in range(L + 1)]
 
 
 def _doubles(name: str, exact: list[Fraction]) -> np.ndarray:
@@ -118,12 +122,17 @@ def shifted_coeffs(L: int, l: float, r: float) -> np.ndarray:
 
 
 def g_table(L: int, l: float, r: float, n) -> CoefficientTable:
-    """Weight table g[j] = a_j * j!/n^j + 1 (g[0] = 0), rationals rounded once."""
+    """Weight table g[j] = a_j * j!/n^j + 1 (g[0] = 0), rationals rounded once.
+
+    Computed in the scaled variable y = n x, where the same rational reads
+    g[j] = 1 - s^j T_L^(j)(x0) / T_L(x0) with s = 2/(n (r - l)), without
+    factorials or the p-space coefficients a_j.
+    """
     if n < 1:
         raise ParameterError(f"sample size n must be >= 1, got {n}")
-    a_exact = _shifted_coeffs_exact(L, l, r)
-    nf = Fraction(n)
-    g_exact = [a_exact[j] * math.factorial(j) / nf**j + 1 for j in range(L + 1)]
+    derivs, slope = _origin_derivs(L, l, r)
+    s = slope / Fraction(n)
+    g_exact = [1 - s**j * derivs[j] / derivs[0] for j in range(L + 1)]
     g = _doubles("g", g_exact)
     g_lo = [float(v - Fraction(h)) for v, h in zip(g_exact, g)]
     return CoefficientTable(L=L, l=float(l), r=float(r), n=float(n), g=g, _g_lo=np.array(g_lo))

@@ -20,6 +20,7 @@ from .errors import ParameterError, SupportSizeError
 from .estimators import ESTIMATORS, EstimatorConfig, degree_params, run_estimator
 from .ingest import (
     TokenizerConfig,
+    _iter_decoded_lines,
     build_histogram,
     fingerprint_of,
     read_fingerprint_file,
@@ -30,8 +31,6 @@ from .ingest import (
 from .sweep import (
     CSV_COLUMNS,
     SweepSpec,
-    emit_csv,
-    emit_json,
     probe_sample_complexity,
     run_sweep,
 )
@@ -173,14 +172,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(ns: argparse.Namespace, argv) -> None:
+def _command_actions(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> dict:
+    """The invoked subcommand's (or theory action's) argparse actions, keyed by dest."""
+    while True:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {action.dest: action for action in parser._actions}
+        parser = subs[0].choices[getattr(ns, subs[0].dest)]
+
+
+def _config_value(action: argparse.Action, value: str, where: str):
+    """A config value typed and checked as argparse would check the flag's argument."""
+    if action.nargs == 0:  # store_true
+        lowered = value.lower()
+        if lowered in ("true", "yes", "on"):
+            return True
+        if lowered in ("false", "no", "off"):
+            return False
+        raise ParameterError(f"{where}: expected true/false/yes/no/on/off, got {value!r}")
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except ValueError:
+            raise ParameterError(
+                f"{where}: invalid {action.type.__name__} value {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"{where}: {value!r} is not one of {sorted(action.choices)}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv) -> None:
     """Fold key=value config pairs into the parsed namespace.
 
     A config value applies only when the matching flag was not given on the
     command line, so explicit flags always win.  Keys mirror long flag names
     (dashes or underscores); keys that do not belong to the invoked command
-    are ignored, letting one file serve several subcommands.  Flags argparse
-    marks as required must still be given on the command line.
+    are ignored, letting one file serve several subcommands.  Values are
+    typed and checked like the flag's own argument.  Flags argparse marks as
+    required must still be given on the command line.
     """
     if not getattr(ns, "config", None):
         return
@@ -190,6 +220,7 @@ def _apply_config(ns: argparse.Namespace, argv) -> None:
         for tok in tokens
         if isinstance(tok, str) and tok.startswith("--")
     }
+    actions = _command_actions(parser, ns)
     with open(ns.config, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -199,23 +230,10 @@ def _apply_config(ns: argparse.Namespace, argv) -> None:
             if not sep:
                 raise ParameterError(f"{ns.config}:{lineno}: expected key=value, got {line!r}")
             dest = key.strip().replace("-", "_")
-            if dest in explicit or not hasattr(ns, dest):
+            action = actions.get(dest)
+            if dest in explicit or action is None or not hasattr(ns, dest):
                 continue
-            setattr(ns, dest, _coerce(val.strip()))
-
-
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
+            setattr(ns, dest, _config_value(action, val.strip(), f"{ns.config}:{lineno}"))
 
 
 def _open_output(path):
@@ -247,24 +265,19 @@ def _cmd_estimate(ns) -> int:
     if ns.fingerprint:
         fp = read_fingerprint_file(ns.fingerprint)
     else:
+        tok_cfg = TokenizerConfig(case_fold=not ns.no_case_fold,
+                                  strip_punctuation=not ns.keep_punctuation)
         with open(ns.input, "rb") as fh:
-            tokens = list(tokenize(
-                fh,
-                TokenizerConfig(case_fold=not ns.no_case_fold,
-                                strip_punctuation=not ns.keep_punctuation),
-                encoding=ns.encoding,
-            ))
-        if ns.resample_fraction is not None:
-            if ns.resample_unit == "paragraph":
-                with open(ns.input, "r", encoding=ns.encoding) as fh:
-                    paras = split_paragraphs(fh.read())
-                tok_cfg = TokenizerConfig(case_fold=not ns.no_case_fold,
-                                          strip_punctuation=not ns.keep_punctuation)
-                units = [list(tokenize(p, tok_cfg, encoding=ns.encoding)) for p in paras]
+            if ns.resample_fraction is None:
+                tokens = tokenize(fh, tok_cfg, encoding=ns.encoding)
+            elif ns.resample_unit == "word":
+                words = list(tokenize(fh, tok_cfg, encoding=ns.encoding))
+                tokens = resample(words, ns.resample_fraction, ns.seed)
             else:
-                units = tokens
-            tokens = resample(units, ns.resample_fraction, ns.seed)
-        fp = fingerprint_of(build_histogram(tokens))
+                text = "".join(_iter_decoded_lines(fh, ns.encoding))
+                paras = [list(tokenize(p, tok_cfg)) for p in split_paragraphs(text)]
+                tokens = resample(paras, ns.resample_fraction, ns.seed)
+            fp = fingerprint_of(build_histogram(tokens))
 
     name = ns.estimator
     res = run_estimator(name, fp, cfg=cfg, t=ns.t, J=ns.J)
@@ -312,15 +325,8 @@ def _cmd_simulate(ns) -> int:
         sampling=ns.sampling,
     )
     rows = run_sweep(spec, EstimatorConfig(c0=ns.c0, c1=ns.c1))
-    fmt = ns.format or "csv"
-    if ns.output in (None, "-"):
-        recs = [dataclasses.asdict(r) for r in rows]
-        ns.format = fmt
-        _write_records(recs, ns)
-    elif fmt == "csv":
-        emit_csv(rows, ns.output)
-    else:
-        emit_json(rows, ns.output)
+    ns.format = ns.format or "csv"
+    _write_records([dataclasses.asdict(r) for r in rows], ns)
     return 0
 
 
@@ -414,7 +420,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns, argv)
+        _apply_config(parser, ns, argv)
         if ns.command == "estimate":
             return _cmd_estimate(ns)
         if ns.command == "simulate":

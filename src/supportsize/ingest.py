@@ -9,8 +9,10 @@ distinct symbols, never to the sample size.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -25,6 +27,11 @@ from .errors import (
 )
 
 TokenSource = Union[str, bytes, IO, Iterable[str]]
+
+_CHUNK_BYTES = 1 << 16
+# every character that is neither alphanumeric (str.isalnum) nor whitespace
+# (str.isspace); no character is both, and \w is exactly isalnum plus "_"
+_NOT_ALNUM_OR_SPACE = re.compile(r"[^\w\s]|_")
 
 
 @dataclass(frozen=True)
@@ -91,36 +98,53 @@ class Fingerprint:
 
 
 def _iter_decoded_lines(source: TokenSource, encoding: str) -> Iterator[str]:
+    """Decoded text of ``source`` in pieces that end at line breaks.
+
+    For bytes and binary streams the pieces join to the decoded text, with
+    newlines translated as in a file opened in text mode.
+    """
     if isinstance(source, str):
         yield from source.splitlines()
         return
     if isinstance(source, bytes):
-        try:
-            yield from source.decode(encoding).splitlines()
-        except UnicodeDecodeError as exc:
-            raise DecodeError(
-                f"invalid {encoding} byte at offset {exc.start}: {exc.reason}",
-                byte_offset=exc.start,
-            ) from exc
-        return
+        source = io.BytesIO(source)
     if isinstance(source, io.TextIOBase):
         yield from source
         return
-    if hasattr(source, "read"):
-        # binary stream: decode line by line, tracking the absolute byte offset
-        offset = 0
-        for raw in source:
-            try:
-                yield raw.decode(encoding)
-            except UnicodeDecodeError as exc:
-                raise DecodeError(
-                    f"invalid {encoding} byte at offset {offset + exc.start}: {exc.reason}",
-                    byte_offset=offset + exc.start,
-                ) from exc
-            offset += len(raw)
+    if not hasattr(source, "read"):
+        yield from source  # already an iterable of text lines
         return
-    # fall back: already an iterable of text lines
-    yield from source
+    # binary stream: one incremental decoder over the whole stream, since a
+    # character may straddle a read boundary and UTF-16 code units may hold a
+    # 0x0a byte.  Text after the last newline waits for the next chunk, so no
+    # token is split.  Newlines are universal, as in a file opened as text.
+    try:
+        "".encode(encoding)  # LookupError for unknown and bytes-to-bytes codecs
+    except LookupError:
+        raise ParameterError(f"{encoding!r} is not a text encoding") from None
+    decoder = codecs.getincrementaldecoder(encoding)()
+    lines = io.IncrementalNewlineDecoder(decoder, translate=True)
+    consumed, pending = 0, []
+    while True:
+        chunk = source.read(_CHUNK_BYTES)
+        try:
+            text = lines.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            # exc.start indexes the decoder's unconsumed bytes followed by chunk
+            offset = consumed - len(decoder.getstate()[0]) + exc.start
+            raise DecodeError(
+                f"invalid {encoding} byte at offset {offset}: {exc.reason}",
+                byte_offset=offset,
+            ) from exc
+        if not chunk:
+            yield "".join(pending) + text
+            return
+        consumed += len(chunk)
+        head, newline, tail = text.rpartition("\n")
+        if newline:
+            yield "".join(pending) + head + newline
+            pending = []
+        pending.append(tail)
 
 
 def tokenize(
@@ -133,18 +157,16 @@ def tokenize(
     Tokens are lowercased when ``cfg.case_fold`` and stripped of every
     character that is not a letter or digit when ``cfg.strip_punctuation``;
     tokens that become empty are dropped.  ``source`` may be a string, raw
-    bytes, an open (text or binary) file, or an iterable of lines.  Invalid
-    bytes raise :class:`DecodeError` carrying the byte offset.
+    bytes, an open (text or binary) file, or an iterable of lines.  Bytes are
+    decoded with any Python text codec; invalid bytes raise
+    :class:`DecodeError` carrying the byte offset.
     """
     for line in _iter_decoded_lines(source, encoding):
         if cfg.case_fold:
             line = line.lower()
-        for tok in line.split():
-            if cfg.strip_punctuation and not tok.isalnum():
-                tok = "".join(ch for ch in tok if ch.isalnum())
-                if not tok:
-                    continue
-            yield tok
+        if cfg.strip_punctuation:
+            line = _NOT_ALNUM_OR_SPACE.sub("", line)
+        yield from line.split()
 
 
 def build_histogram(tokens: Iterable) -> Histogram:

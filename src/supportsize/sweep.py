@@ -8,10 +8,8 @@ estimator, matching how the estimators are compared in practice.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,6 +38,8 @@ class SweepSpec:
             raise ParameterError(f"n_grid must be strictly increasing, got {self.n_grid}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if not self.estimators:
+            raise ParameterError("estimators must be nonempty")
         if self.sampling not in ("iid", "poissonized"):
             raise ParameterError(f"sampling must be iid or poissonized, got {self.sampling!r}")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
@@ -217,50 +217,3 @@ def probe_sample_complexity(
         lo, hi = search_up(hi + max(1, hi // 20), hi)
     return ProbeResult(estimator, epsilon, delta, k, None, None, None, None,
                        trials, ceiling, True, evaluations)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)  # full round-trip precision
-    return str(value)
-
-
-def emit_csv(rows: list[SweepRow], path) -> None:
-    """Write sweep rows with the fixed column order of CSV_COLUMNS."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            d = asdict(row)
-            writer.writerow([_cell(d[col]) for col in CSV_COLUMNS])
-
-
-def parse_csv_rows(path) -> list[SweepRow]:
-    """Inverse of emit_csv."""
-    out = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append(
-                SweepRow(
-                    estimator=rec["estimator"],
-                    n=int(rec["n"]),
-                    mean_estimate=float(rec["mean_estimate"]) if rec["mean_estimate"] else None,
-                    rmse=float(rec["rmse"]) if rec["rmse"] else None,
-                    std_dev=float(rec["std_dev"]) if rec["std_dev"] else None,
-                    trials=int(rec["trials"]),
-                    undefined_count=int(rec["undefined_count"]),
-                )
-            )
-    return out
-
-
-def emit_json(records: list, path) -> None:
-    """One JSON record per line; dataclasses are converted to dicts."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for rec in records:
-            if hasattr(rec, "__dataclass_fields__"):
-                rec = asdict(rec)
-            fh.write(json.dumps(rec) + "\n")

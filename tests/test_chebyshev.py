@@ -14,6 +14,7 @@ from supportsize import (
     poly_eval_direct,
     shifted_coeffs,
 )
+from supportsize.chebyshev import _shifted_coeffs_exact
 
 
 def expand_cheb_monomial(L):
@@ -140,10 +141,18 @@ def test_g_table_g0_always_zero():
 
 
 def test_g_table_weight_identity():
-    table = g_table(5, 0.001, 0.02, 400)
-    a = shifted_coeffs(5, 0.001, 0.02)
-    for j in range(1, 6):
-        assert table.g[j] == pytest.approx(a[j] * math.factorial(j) / 400.0**j + 1.0, rel=1e-12)
+    # g_j = a_j j!/n^j + 1 is the same rational as the scaled-variable form
+    # g_table uses, so both rounded parts match the p-space formula exactly
+    fig1 = (6, 1e-6, 0.5 * math.log(10**6) / (2 * 10**5), 2 * 10**5)
+    cases = [(5, 0.001, 0.02, 400), fig1, (1, 0.01, 0.3, 7),
+             (9, 1e-9, 0.5 * math.log(10**9) / 10**7, 10**7), (12, 1e-5, 3e-4, 3000)]
+    for L, l, r, n in cases:
+        table = g_table(L, l, r, n)
+        a = _shifted_coeffs_exact(L, l, r)
+        for j in range(L + 1):
+            exact = a[j] * math.factorial(j) / Fraction(n) ** j + 1
+            assert table.g[j] == float(exact)
+            assert table._g_lo[j] == float(exact - Fraction(float(exact)))
 
 
 def test_g_table_fig1_configuration_signs():

@@ -6,8 +6,16 @@ import json
 
 import pytest
 
-from supportsize import Fingerprint, write_fingerprint_file
+from supportsize import (
+    Fingerprint,
+    SweepRow,
+    SweepSpec,
+    make_uniform,
+    run_sweep,
+    write_fingerprint_file,
+)
 from supportsize.cli import main
+from supportsize.sweep import CSV_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +93,11 @@ def test_estimate_from_token_file(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["n"] == 6
     assert rec["value"] == 3.0  # {the, cat, dog}
+    doc.write_bytes("The the, THE cat CAT dog\n".encode("utf-16"))
+    code, out, _ = run_cli(capsys, "estimate", "--input", str(doc), "--encoding", "utf-16",
+                           "--k", "100", "--estimator", "plugin")
+    assert code == 0
+    assert json.loads(out) == rec
 
 
 def test_estimate_resample_deterministic(tmp_path, capsys):
@@ -125,6 +138,28 @@ def test_simulate_csv_deterministic(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(first.decode())))
     assert {r["estimator"] for r in rows} == {"wy", "plugin"}
     assert len(rows) == 4
+
+
+def test_simulate_output_files_round_trip(tmp_path, capsys):
+    args = ("simulate", "--family", "uniform:k=1000", "--n-grid", "1,60", "--trials", "3",
+            "--estimators", "gt,wy", "--seed", "5")
+    rows = run_sweep(SweepSpec(family=make_uniform(1000), n_grid=[1, 60], trials=3,
+                               estimators=("gt", "wy"), seed=5))
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "rows.jsonl"
+    assert run_cli(capsys, *args, "--output", str(csv_path))[0] == 0
+    assert run_cli(capsys, *args, "--format", "json", "--output", str(json_path))[0] == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].split(",") == CSV_COLUMNS
+    # Good-Turing is undefined on every one-sample trial: empty cells, not "None"
+    assert lines[1] == "gt,1,,,,3,3"
+    parsed = [
+        SweepRow(rec["estimator"], int(rec["n"]),
+                 *(float(rec[c]) if rec[c] else None for c in ("mean_estimate", "rmse", "std_dev")),
+                 int(rec["trials"]), int(rec["undefined_count"]))
+        for rec in csv.DictReader(io.StringIO(csv_path.read_text()))
+    ]
+    assert parsed == rows  # floats round-trip at full precision
+    assert [SweepRow(**json.loads(line)) for line in json_path.read_text().splitlines()] == rows
 
 
 def test_simulate_geometric_grid_stdout_json(capsys):
@@ -203,6 +238,8 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     (["estimate", "--k", "1e6", "--J", "nan"], "ArgumentError"),
     (["simulate", "--family", "uniform:k=nan", "--n-grid", "10"], "ParameterError"),
     (["probe", "--family", "uniform:k=inf", "--epsilon", "0.3"], "ParameterError"),
+    (["simulate", "--family", "uniform:k=10", "--n-grid", "10", "--estimators", ","],
+     "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
@@ -254,6 +291,32 @@ def test_config_file_defaults_and_cli_override(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
     assert rows[0]["trials"] == "2"
+
+
+def test_config_values_are_typed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    sim = ("simulate", "--family", "uniform:k=40", "--n-grid", "30", "--config", str(cfg))
+    for body, lineno in [("c0=abc\n", 1), ("trials=6\ntrials=x\n", 2),
+                         ("sampling=other\n", 1), ("format=xml\n", 1)]:
+        cfg.write_text(body)
+        code, _, err = run_cli(capsys, *sim)
+        assert code == 2
+        rec = json.loads(err)
+        assert rec["error"] == "ParameterError"
+        assert rec["message"].startswith(f"{cfg}:{lineno}: ")
+    # switches take yes/no words; keys of other commands are ignored unchecked
+    doc = tmp_path / "doc.txt"
+    doc.write_text("a b b\n")  # Good-Turing: 2 / (1 - 1/3) = 3
+    est = ("estimate", "--input", str(doc), "--k", "2.5", "--estimator", "gt", "--config", str(cfg))
+    for body, value in [("clamp=yes\nround_output=off\ntrials=x\n", 2.5),
+                        ("clamp=On\nround_output=TRUE\n", 2.0), ("clamp=no\n", 3.0)]:
+        cfg.write_text(body)
+        code, out, _ = run_cli(capsys, *est)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(value)
+    cfg.write_text("clamp=maybe\n")
+    code, _, err = run_cli(capsys, *est)
+    assert code == 2 and "true/false" in json.loads(err)["message"]
 
 
 def test_fingerprint_format_error_is_domain_error(tmp_path, capsys):

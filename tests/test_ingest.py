@@ -68,6 +68,21 @@ def test_tokenize_decode_error_reports_byte_offset():
     with pytest.raises(DecodeError) as err:
         list(tokenize(io.BytesIO(b"ok line\n" + data)))
     assert err.value.byte_offset == 8 + 4
+    # a sequence cut short by the end of the input
+    with pytest.raises(DecodeError) as err:
+        list(tokenize("é\n".encode() + b"\xc3"))
+    assert err.value.byte_offset == 3
+
+
+def test_tokenize_decodes_the_stream_as_a_whole():
+    # U+0A0A encodes as 0a 0a in UTF-16, so splitting the bytes at b"\n" breaks it
+    assert list(tokenize("aਊb\n".encode("utf-16"), encoding="utf-16")) == ["aਊb"]
+    # tokens and multi-byte characters straddle the stream's read boundaries
+    text = "ééé wörd\r\nxyzzy " * 30_000
+    assert list(tokenize(io.BytesIO(text.encode()))) == text.split()
+    for codec in ("hex", "no-such-codec"):
+        with pytest.raises(ParameterError, match="not a text encoding"):
+            list(tokenize(b"ab", encoding=codec))
 
 
 def test_build_histogram_examples():

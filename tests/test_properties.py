@@ -1,10 +1,13 @@
 """Property tests: the estimator registry against exact-rational oracles of the
-documented formulas, permutation/label invariance, and a CLI input fuzz."""
+documented formulas, permutation/label invariance, the tokenizer against its
+per-token reference, and a CLI input fuzz."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from supportsize import (
     ESTIMATORS,
     Fingerprint,
     ParameterError,
+    TokenizerConfig,
     UndefinedEstimatorError,
     build_histogram,
     degree_params,
@@ -24,6 +28,7 @@ from supportsize import (
     fingerprint_of,
     good_toulmin,
     run_estimator,
+    tokenize,
     write_fingerprint_file,
 )
 from supportsize.cli import main
@@ -221,3 +226,51 @@ def test_cli_fuzz_exits_cleanly(tmp_path, data):
     assert len(lines) <= 1, (argv, err)
     if code:
         assert set(json.loads(lines[0])) >= {"error", "message"}
+
+
+TOKENIZER_CONFIGS = [TokenizerConfig(case_fold=c, strip_punctuation=p)
+                     for c, p in itertools.product((True, False), repeat=2)]
+
+
+def reference_tokens(text, cfg):
+    """The per-token filter: keep a token's str.isalnum characters, drop it if none remain."""
+    out = []
+    for line in text.splitlines():
+        if cfg.case_fold:
+            line = line.lower()
+        for tok in line.split():
+            if cfg.strip_punctuation and not tok.isalnum():
+                tok = "".join(ch for ch in tok if ch.isalnum())
+                if not tok:
+                    continue
+            out.append(tok)
+    return out
+
+
+# NEL, CRLF, underscore, a combining acute, dotted capital I (lowercases to
+# two characters), a line separator, and any other encodable character
+unicode_text = st.lists(
+    st.one_of(
+        st.sampled_from([" ", "\x85", "\r\n", "\n", "\r", "_", "\u0301", "İ", "\u2028",
+                         "\t", "a", "Ab", "ß", "-", "1"]),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=60,
+).map("".join)
+
+
+@PROPERTY
+@given(text=unicode_text)
+def test_tokenize_matches_per_token_filter(text):
+    data = text.encode()
+    for cfg in TOKENIZER_CONFIGS:
+        expected = reference_tokens(text, cfg)
+        for source in (text, data, io.BytesIO(data), io.StringIO(text)):
+            assert list(tokenize(source, cfg)) == expected, (cfg, type(source))
+
+
+def test_tokenize_matches_per_token_filter_on_every_code_point():
+    text = " ".join(map(chr, range(sys.maxunicode + 1)))
+    for case_fold in (True, False):
+        cfg = TokenizerConfig(case_fold=case_fold)
+        assert list(tokenize(text, cfg)) == reference_tokens(text, cfg)

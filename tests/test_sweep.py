@@ -1,5 +1,8 @@
 """Sweep harness: determinism, undefined handling, emission, probes."""
 
+import argparse
+import csv
+import dataclasses
 import json
 import math
 
@@ -11,14 +14,32 @@ from supportsize import (
     ParameterError,
     SweepRow,
     SweepSpec,
-    emit_csv,
-    emit_json,
     make_uniform,
-    parse_csv_rows,
     probe_sample_complexity,
     run_sweep,
     wilson_interval,
 )
+from supportsize.cli import _write_records
+from supportsize.sweep import CSV_COLUMNS
+
+
+def emit(rows, path, fmt):
+    """Write sweep rows the way ``simulate --output PATH --format FMT`` does."""
+    _write_records([dataclasses.asdict(r) for r in rows],
+                   argparse.Namespace(format=fmt, output=str(path)))
+
+
+def parse_csv_rows(path):
+    def cell(value, kind):
+        return kind(value) if value else None
+
+    with open(path, newline="") as fh:
+        return [
+            SweepRow(rec["estimator"], int(rec["n"]), cell(rec["mean_estimate"], float),
+                     cell(rec["rmse"], float), cell(rec["std_dev"], float),
+                     int(rec["trials"]), int(rec["undefined_count"]))
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def test_spec_validation():
@@ -35,18 +56,16 @@ def test_spec_validation():
         SweepSpec(family=fam, n_grid=[10], sampling="other")
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10], estimators=("nope",))
+    with pytest.raises(ParameterError):
+        SweepSpec(family=fam, n_grid=[10], estimators=())
 
 
-def test_run_sweep_bit_reproducible(tmp_path):
+def test_run_sweep_bit_reproducible():
     spec = SweepSpec(family=make_uniform(200), n_grid=[100, 300], trials=8,
                      estimators=("wy", "plugin", "gt"), seed=42)
     rows1 = run_sweep(spec)
     rows2 = run_sweep(spec)
     assert rows1 == rows2
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(rows1, p1)
-    emit_csv(rows2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_run_sweep_point_mass_plug_in():
@@ -95,28 +114,25 @@ def test_emit_parse_csv_round_trip(tmp_path):
         SweepRow("gt", 100, None, None, None, 10, 10),
     ]
     path = tmp_path / "rows.csv"
-    emit_csv(rows, path)
+    emit(rows, path, "csv")
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == CSV_COLUMNS
+    assert lines[2] == "gt,100,,,,10,10"
     assert parse_csv_rows(path) == rows
-
-
-def test_emit_csv_empty_is_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_csv([], path)
-    assert path.read_text().strip() == "estimator,n,mean_estimate,rmse,std_dev,trials,undefined_count"
 
 
 def test_emit_csv_full_precision(tmp_path):
     value = 1.0 / 3.0 + 1e-13
     rows = [SweepRow("wy", 1, value, 0.0, 0.0, 1, 0)]
     path = tmp_path / "prec.csv"
-    emit_csv(rows, path)
+    emit(rows, path, "csv")
     assert parse_csv_rows(path)[0].mean_estimate == value
 
 
 def test_emit_json_lines(tmp_path):
     rows = [SweepRow("wy", 100, 12.5, 1.25, 0.5, 10, 0)]
     path = tmp_path / "rows.jsonl"
-    emit_json(rows, path)
+    emit(rows, path, "json")
     rec = json.loads(path.read_text().splitlines()[0])
     assert rec["estimator"] == "wy" and rec["n"] == 100
 
