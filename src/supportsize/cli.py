@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--ceiling", type=int, default=None)
     prb.add_argument("--sampling", choices=["iid", "poissonized"], default="iid")
 
-    cfs = sub.add_parser("coeffs", help="dump the weight table (j, a_j, g_j) as CSV")
+    cfs = sub.add_parser("coeffs", help="dump the weight table (j, a_j, g_j), CSV by default")
     _add_common(cfs)
     cfs.add_argument("--k", type=float, required=True)
     cfs.add_argument("--n", type=int, required=True)
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     cfs.add_argument("--degree", type=int, default=None)
 
     thy = sub.add_parser("theory", help="lower-bound laboratory")
-    _add_common(thy)
     thysub = thy.add_subparsers(dest="action", required=True)
 
     ap = thysub.add_parser("approx", help="best polynomial approximation of 1/x on [a, b]")
@@ -172,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_actions(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> dict:
-    """The invoked subcommand's (or theory action's) argparse actions, keyed by dest."""
+def _command_parser(parser: argparse.ArgumentParser, ns: argparse.Namespace):
+    """The invoked subcommand's (or theory action's) parser."""
     while True:
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
-            return {action.dest: action for action in parser._actions}
+            return parser
         parser = subs[0].choices[getattr(ns, subs[0].dest)]
 
 
@@ -205,22 +204,32 @@ def _config_value(action: argparse.Action, value: str, where: str):
 def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv) -> None:
     """Fold key=value config pairs into the parsed namespace.
 
-    A config value applies only when the matching flag was not given on the
-    command line, so explicit flags always win.  Keys mirror long flag names
-    (dashes or underscores); keys that do not belong to the invoked command
-    are ignored, letting one file serve several subcommands.  Values are
-    typed and checked like the flag's own argument.  Flags argparse marks as
-    required must still be given on the command line.
+    A config value applies only when neither its flag nor any flag of its
+    mutually exclusive group was given on the command line, so explicit flags
+    always win.  Keys mirror long flag names (dashes or underscores; the
+    argparse dest, such as ``round_output`` for ``--round``, works too); keys
+    that do not belong to the invoked command are ignored, letting one file
+    serve several subcommands.  Values are typed and checked like the flag's
+    own argument.  Flags argparse marks as required must still be given on
+    the command line.
     """
     if not getattr(ns, "config", None):
         return
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    explicit = {
-        tok.split("=", 1)[0][2:].replace("-", "_")
-        for tok in tokens
+    parser = _command_parser(parser, ns)
+    actions = {action.dest: action for action in parser._actions}
+    for action in parser._actions:
+        for opt in action.option_strings:
+            if opt.startswith("--"):
+                actions[opt[2:].replace("-", "_")] = action
+    given = {
+        tok.split("=", 1)[0]
+        for tok in (sys.argv[1:] if argv is None else argv)
         if isinstance(tok, str) and tok.startswith("--")
     }
-    actions = _command_actions(parser, ns)
+    explicit = {action for action in parser._actions if given & set(action.option_strings)}
+    for group in parser._mutually_exclusive_groups:
+        if explicit & set(group._group_actions):
+            explicit |= set(group._group_actions)
     with open(ns.config, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -229,11 +238,10 @@ def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv)
             key, sep, val = line.partition("=")
             if not sep:
                 raise ParameterError(f"{ns.config}:{lineno}: expected key=value, got {line!r}")
-            dest = key.strip().replace("-", "_")
-            action = actions.get(dest)
-            if dest in explicit or action is None or not hasattr(ns, dest):
+            action = actions.get(key.strip().replace("-", "_"))
+            if action is None or action in explicit or not hasattr(ns, action.dest):
                 continue
-            setattr(ns, dest, _config_value(action, val.strip(), f"{ns.config}:{lineno}"))
+            setattr(ns, action.dest, _config_value(action, val.strip(), f"{ns.config}:{lineno}"))
 
 
 def _open_output(path):
@@ -348,15 +356,8 @@ def _cmd_coeffs(ns) -> int:
     L, l, r = degree_params(ns.k, ns.n, cfg)
     a = shifted_coeffs(L, l, r)
     g = g_table(L, l, r, ns.n).g
-    out, close = _open_output(ns.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["j", "a_j", "g_j"])
-        for j in range(L + 1):
-            writer.writerow([j, repr(float(a[j])), repr(float(g[j]))])
-    finally:
-        if close:
-            out.close()
+    ns.format = ns.format or "csv"
+    _write_records([{"j": j, "a_j": float(a[j]), "g_j": float(g[j])} for j in range(L + 1)], ns)
     return 0
 
 

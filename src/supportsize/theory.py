@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.optimize import linprog
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from .errors import ParameterError, PrecisionError, SolverError
 
@@ -76,41 +76,31 @@ def best_inv_approx(
         raise ParameterError(f"degree must be >= 0, got {degree}")
     m = degree + 2
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    t = -np.cos(np.pi * np.arange(m) / (m - 1))  # reference, ascending in [-1, 1]
+    x = mid - half * np.cos(np.pi * np.arange(m) / (m - 1))  # reference, ascending in [a, b]
     signs = (-1.0) ** np.arange(m)
-    grid = np.linspace(-1.0, 1.0, 8192)
-    xg = mid + half * grid
-    last_profile = None
     best_gap = math.inf
     stalled = 0
     for _ in range(max_iter):
-        x = mid + half * t
-        system = np.hstack([_cheb.chebvander(t, degree), signs[:, None]])
+        system = np.hstack([_cheb.chebvander((x - mid) / half, degree), signs[:, None]])
         try:
             sol = np.linalg.solve(system, 1.0 / x)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Remez system on [{a}, {b}], degree {degree}") from exc
         coef, level = sol[:-1], sol[-1]
         series = _cheb.Chebyshev(coef, domain=[a, b])
-        resid = 1.0 / xg - series(xg)
-        last_profile = resid
-        cand = _alternating_extrema(resid, m)
-        t_new = _refine_extrema(grid, cand, resid, series, mid, half)
-        x_new = mid + half * t_new
-        dev = np.abs(1.0 / x_new - series(x_new))
-        t = t_new
+        x = _alternating_extrema(series, m)
+        dev = np.abs(1.0 / x - series(x))
         # residual evaluation carries ~eps/a of absolute noise, so narrow
         # intervals (tiny errors) stall there instead of reaching tol; a
         # stalled gap well below the deviation scale is converged in doubles
         gap = dev.max() - abs(level)
         if gap <= tol * dev.max() or (stalled >= 3 and gap <= 1e-6 * dev.max()):
-            extrema = mid + half * t
             mono = series.convert(kind=np.polynomial.Polynomial)
             return ApproxResult(
                 degree=degree, a=a, b=b,
                 coeffs=np.asarray(mono.coef, dtype=float),
                 error=float(abs(level)),
-                extrema=extrema,
+                extrema=x,
                 _series=series,
             )
         if gap >= 0.5 * best_gap:
@@ -120,51 +110,29 @@ def best_inv_approx(
         best_gap = min(best_gap, gap)
     raise SolverError(
         f"Remez did not converge in {max_iter} iterations on [{a}, {b}], degree {degree}; "
-        f"last residual range [{last_profile.min():.3e}, {last_profile.max():.3e}]"
+        f"last level {abs(level):.3e}, max deviation {dev.max():.3e}"
     )
 
 
-def _alternating_extrema(resid: np.ndarray, m: int) -> list[int]:
-    """One grid index of max |residual| per sign run; keep the best m consecutive runs."""
-    sign = np.sign(resid)
-    runs = []
-    start = 0
-    for i in range(1, len(resid) + 1):
-        if i == len(resid) or sign[i] != sign[start]:
-            seg = np.arange(start, i)
-            runs.append(int(seg[np.argmax(np.abs(resid[seg]))]))
-            start = i
-    if len(runs) < m:
-        raise SolverError(f"residual alternates on only {len(runs)} runs, need {m}")
-    if len(runs) > m:
-        best = None
-        for s0 in range(len(runs) - m + 1):
-            window = runs[s0 : s0 + m]
-            low = min(abs(resid[i]) for i in window)
-            if best is None or low > best[0]:
-                best = (low, window)
-        runs = best[1]
-    return runs
+def _alternating_extrema(series, m: int) -> np.ndarray:
+    """The largest-|residual| candidate of each sign run of r = 1/x - p on [a, b].
 
-
-def _refine_extrema(grid, cand, resid, series, mid, half) -> np.ndarray:
-    """Ternary search for each |residual| extremum inside its grid bracket."""
-    out = np.empty(len(cand))
-    for ii, ci in enumerate(cand):
-        lo = grid[max(ci - 1, 0)]
-        hi = grid[min(ci + 1, len(grid) - 1)]
-        s = 1.0 if resid[ci] >= 0 else -1.0
-        for _ in range(70):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            r1 = s * (1.0 / (mid + half * m1) - series(mid + half * m1))
-            r2 = s * (1.0 / (mid + half * m2) - series(mid + half * m2))
-            if r1 < r2:
-                lo = m1
-            else:
-                hi = m2
-        out[ii] = 0.5 * (lo + hi)
-    return out
+    r is stationary exactly where q = x^2 p'(x) + 1 vanishes, so the candidates
+    are q's real roots inside (a, b) plus both endpoints (LAPACK returns a real
+    eigenvalue with imaginary part exactly 0).  x p(x) - 1 has at most m - 1
+    zeros and the alternating reference forces that many sign changes, so the
+    candidates fall into exactly m runs of equal sign.
+    """
+    a, b = series.domain
+    ident = _cheb.Chebyshev.identity(domain=series.domain)
+    roots = (ident * ident * series.deriv() + 1).roots()
+    inner = roots[roots.imag == 0].real
+    cand = np.concatenate([[a], inner[(inner > a) & (inner < b)], [b]])
+    resid = 1.0 / cand - series(cand)
+    runs = np.split(np.arange(cand.size), np.flatnonzero(np.diff(np.sign(resid))) + 1)
+    if len(runs) != m:
+        raise SolverError(f"residual alternates on {len(runs)} runs, need {m}")
+    return np.array([cand[run[np.argmax(np.abs(resid[run]))]] for run in runs])
 
 
 def primal_value(L: int, a: float, b: float, grid_size: int) -> float:
@@ -309,6 +277,11 @@ def poisson_tail_bound(lam: float, m: int) -> float:
     return math.exp(-lam + m1 - m1 * math.log(m1 / lam))
 
 
+def _poisson_pmf(j: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """P[Poi(lam) = j], broadcast; the same log-space formula scipy.stats.poisson uses."""
+    return np.exp(xlogy(j, lam) - gammaln(j + 1) - lam)
+
+
 @dataclass(frozen=True)
 class TvEstimate:
     """Certified bracket for a total variation distance: lower <= TV <= upper."""
@@ -347,9 +320,9 @@ def tv_exact_atoms(
         raise PrecisionError(
             f"cutoff {cutoff} leaves Poisson tail bound {tail:.3e} >= {_TAIL_CERT}; increase it"
         )
-    js = np.arange(cutoff + 1)
-    pmf_a = poisson.pmf(js[:, None], lam_a[None, :]) @ np.asarray(weights_a, dtype=float)
-    pmf_b = poisson.pmf(js[:, None], lam_b[None, :]) @ np.asarray(weights_b, dtype=float)
+    js = np.arange(cutoff + 1)[:, None]
+    pmf_a = _poisson_pmf(js, lam_a) @ np.asarray(weights_a, dtype=float)
+    pmf_b = _poisson_pmf(js, lam_b) @ np.asarray(weights_b, dtype=float)
     truncated = 0.5 * float(np.abs(pmf_a - pmf_b).sum())
     return TvEstimate(
         lower=truncated,

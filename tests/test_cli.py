@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +27,8 @@ def run_cli(capsys, *argv):
 
 
 def test_coeffs_csv(capsys):
-    code, out, _ = run_cli(capsys, "coeffs", "--k", "1e6", "--n", "200000")
+    argv = ("coeffs", "--k", "1e6", "--n", "200000")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 7  # degree 6 table
@@ -33,6 +36,18 @@ def test_coeffs_csv(capsys):
     assert float(rows[0]["g_j"]) == 0.0
     signs = [1 if float(r["g_j"]) > 0 else -1 for r in rows[1:]]
     assert signs == [1, -1, 1, -1, 1, -1]
+    # --format json writes the same table as JSON lines
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [list(rec) for rec in recs] == [["j", "a_j", "g_j"]] * len(rows)
+    assert recs == [{"j": int(r["j"]), "a_j": float(r["a_j"]), "g_j": float(r["g_j"])}
+                    for r in rows]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    check = "import sys, supportsize.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], check=True)
 
 
 def test_estimate_from_fingerprint_file(tmp_path, capsys):
@@ -188,6 +203,21 @@ def test_theory_approx_cli(capsys):
     assert len(rec["extrema"]) == 5
 
 
+def test_theory_options_go_after_the_action(tmp_path, capsys):
+    out_path = tmp_path / "approx.json"
+    approx = ("approx", "--degree", "2", "--a", "1", "--b", "10")
+    code, out, _ = run_cli(capsys, "theory", *approx, "--output", str(out_path))
+    assert code == 0 and out == ""
+    assert json.loads(out_path.read_text())["degree"] == 2
+    out_path.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--output", str(out_path), *approx])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ArgumentError"
+    assert not out_path.exists()
+
+
 def test_theory_priors_and_tv_cli(capsys):
     code, out, _ = run_cli(capsys, "theory", "priors", "--order", "2", "--lam", "10")
     assert code == 0
@@ -314,6 +344,17 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *est)
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(value)
+    # keys are long flag names (--round, dest round_output); the unrounded
+    # Good-Turing value is 2.9999999999999996
+    cfg.write_text("round=true\n")
+    code, out, _ = run_cli(capsys, *est)
+    assert code == 0 and json.loads(out)["value"] == 3.0
+    # a key of a mutually exclusive group yields to any explicit flag of it
+    fp = tmp_path / "fp.txt"
+    write_fingerprint_file(Fingerprint(h={1: 5}, n=5), fp)
+    cfg.write_text(f"fingerprint={fp}\n")
+    code, out, _ = run_cli(capsys, *est)
+    assert code == 0 and json.loads(out)["n"] == 3
     cfg.write_text("clamp=maybe\n")
     code, _, err = run_cli(capsys, *est)
     assert code == 2 and "true/false" in json.loads(err)["message"]

@@ -8,6 +8,7 @@ import pytest
 from supportsize import (
     ParameterError,
     PrecisionError,
+    SolverError,
     best_inv_approx,
     closed_form_error,
     construct_prior_pair,
@@ -31,8 +32,16 @@ def test_best_constant_approximation():
     assert res.extrema == pytest.approx([1.0, 10.0], rel=1e-9)
 
 
+# the Remez problem of the `theory certify --k 1e6 --epsilon 0.15` example:
+# degree L - 1 = 12 on [1 + nu, lam]
+_RECIPE = lecam_recipe(1e6, 0.15)
+_CERTIFY_INTERVAL = (_RECIPE["L"] - 1, 1.0 + _RECIPE["nu"], _RECIPE["lam"])
+
+
 def test_remez_matches_closed_form():
-    cases = [(3, 1.0, 10.0), (1, 1.0, 2.0), (5, 2.0, 37.0), (4, 1.3, 49.0), (2, 1.0, 25.0)]
+    cases = [(3, 1.0, 10.0), (1, 1.0, 2.0), (5, 2.0, 37.0), (4, 1.3, 49.0), (2, 1.0, 25.0),
+             (8, 1.0, 30.0), (9, 1.5, 60.0), (10, 1.0, 100.0), (11, 2.0, 200.0),
+             (12, 1.0, 50.0), _CERTIFY_INTERVAL]
     for deg, a, b in cases:
         res = best_inv_approx(deg, a, b)
         cf = closed_form_error(deg + 1, a, b)
@@ -40,11 +49,23 @@ def test_remez_matches_closed_form():
 
 
 def test_remez_residual_equioscillates():
-    res = best_inv_approx(4, 1.5, 20.0)
-    r = res.residual(res.extrema)
-    assert np.abs(np.abs(r) - res.error).max() <= 1e-9 * res.error
-    signs = np.sign(r)
-    assert all(s1 == -s2 for s1, s2 in zip(signs, signs[1:]))
+    cases = [(4, 1.5, 20.0), (8, 1.0, 30.0), (10, 1.0, 100.0), (12, 1.0, 50.0),
+             _CERTIFY_INTERVAL]
+    for deg, a, b in cases:
+        res = best_inv_approx(deg, a, b)
+        assert len(res.extrema) == deg + 2
+        assert res.extrema[0] == a and res.extrema[-1] == b
+        r = res.residual(res.extrema)
+        assert np.abs(np.abs(r) - res.error).max() <= 1e-9 * res.error
+        signs = np.sign(r)
+        assert all(s1 == -s2 for s1, s2 in zip(signs, signs[1:]))
+
+
+def test_remez_beyond_double_resolution_is_a_solver_error():
+    # the degree-8 error on [2, 2.05] is ~1e-20, far below the ~1e-16
+    # rounding noise of evaluating 1/x - p(x), so the residual cannot alternate
+    with pytest.raises(SolverError):
+        best_inv_approx(8, 2.0, 2.05)
 
 
 def test_remez_error_vanishes_as_interval_shrinks():
