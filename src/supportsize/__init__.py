@@ -10,14 +10,7 @@ families and a numerical laboratory for the matching lower-bound machinery.
 
 from importlib.resources import files as _files
 
-from .chebyshev import (
-    CoefficientTable,
-    cheb_derivatives,
-    cheb_eval,
-    g_table,
-    poly_eval_direct,
-    shifted_coeffs,
-)
+from .chebyshev import CoefficientTable, g_table, shifted_coeffs
 from .errors import (
     DecodeError,
     DegenerateDegreeError,

@@ -44,7 +44,15 @@ def _report_error(name: str, message: str, **extra) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error as the JSON error record, with exit code 2."""
+    """Reports a usage error as the JSON error record, with exit code 2.
+
+    Long flags must be spelled in full: ``_apply_config`` tells explicit flags
+    from config keys by their spelling, so an accepted prefix such as
+    ``--inp`` would lose to a config ``input=`` or ``fingerprint=`` key.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         _report_error("ArgumentError", message)

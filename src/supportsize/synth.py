@@ -16,6 +16,11 @@ import numpy as np
 from .errors import ParameterError
 from .ingest import Fingerprint, Histogram, fingerprint_from_counts
 
+# Largest k that parse_family accepts, checked before anything is allocated.
+# Memory grows linearly in k: 1e7 symbols with their alias table peak near
+# 0.9 GB, and 1e12 would need terabytes.
+MAX_FAMILY_SIZE = 10**7
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
@@ -198,6 +203,8 @@ def parse_family(spec: str) -> DiscreteDistribution:
         raise ParameterError(f"family {spec!r} is missing argument {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"family {spec!r} has a malformed number: {exc}") from exc
+    if k > MAX_FAMILY_SIZE:
+        raise ParameterError(f"family size k={k} exceeds the limit {MAX_FAMILY_SIZE}")
     if name == "zipf":
         return make_zipf(k, alpha)
     return make_uniform(k) if name == "uniform" else make_mixture(k)

@@ -1,20 +1,16 @@
-"""Chebyshev evaluation, exact coefficient tables, and the bias identity."""
+"""Exact Chebyshev derivatives, coefficient and weight tables, and the bias identity."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev
 
-from supportsize import (
-    ParameterError,
-    cheb_derivatives,
-    cheb_eval,
-    g_table,
-    poly_eval_direct,
-    shifted_coeffs,
-)
-from supportsize.chebyshev import _shifted_coeffs_exact
+from supportsize import EstimatorConfig, ParameterError, degree_params, g_table, shifted_coeffs
+from supportsize.chebyshev import MAX_DEGREE, _origin_derivs, _shifted_coeffs_exact
 
 
 def expand_cheb_monomial(L):
@@ -37,52 +33,47 @@ def differentiate(coeffs):
     return [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
 
 
-def test_cheb_eval_trivial_values():
-    for L in (0, 1, 2, 5, 9, 30):
-        assert cheb_eval(L, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert cheb_eval(2, 0.5) == pytest.approx(-0.5, abs=1e-14)
-    assert cheb_eval(2, -2.0) == pytest.approx(7.0, rel=1e-14)
+def shifted_poly(L, l, r):
+    """P_L on [l, r] as a numpy Chebyshev series pinned by the exact T_L(x0),
+    and its sup-norm 1/|T_L(x0)| on [l, r]."""
+    derivs, _ = _origin_derivs(L, l, r)
+    return -Chebyshev.basis(L, domain=[l, r]) / float(derivs[0]), 1.0 / abs(float(derivs[0]))
 
 
-def test_cheb_eval_matches_cos_identity():
-    thetas = np.linspace(0.0, math.pi, 257)
-    for L in (1, 2, 7, 16, 33, 64):
-        for th in thetas:
-            assert abs(cheb_eval(L, math.cos(th)) - math.cos(L * th)) < 1e-12
+def test_origin_derivs_low_order_examples():
+    # x0 = -(r + l)/(r - l) is -2 on [1, 3] and -5 on [2, 3]
+    assert _origin_derivs(2, 1, 3) == ([7, -8, 4], 1)
+    assert _origin_derivs(1, 2, 3) == ([-5, 1], 2)
 
 
-def test_cheb_eval_matches_monomial_expansion_outside():
-    for L in (2, 3, 6, 11):
-        coeffs = expand_cheb_monomial(L)
-        for x in (-3.5, -1.01, 1.2, 2.0, 8.0):
-            direct = float(sum(c * Fraction(x) ** i for i, c in enumerate(coeffs)))
-            assert cheb_eval(L, x) == pytest.approx(direct, rel=1e-12)
-
-
-def test_cheb_derivatives_low_order_examples():
-    vals = cheb_derivatives(2, -2.0, 1)
-    assert vals == pytest.approx([7.0, -8.0])
-    vals = cheb_derivatives(1, 5.0, 1)
-    assert vals == pytest.approx([5.0, 1.0])
-
-
-def test_cheb_derivatives_against_symbolic_differentiation():
-    # expand T_6 exactly, differentiate term by term in rational arithmetic
+def test_origin_derivs_against_symbolic_differentiation():
+    # expand T_6 exactly, differentiate term by term in rational arithmetic;
+    # x0 = -3 on [1, 2]
     L, x = 6, Fraction(-3)
     coeffs = [Fraction(c) for c in expand_cheb_monomial(L)]
     expected = []
     for _ in range(L + 1):
-        expected.append(float(sum(c * x**i for i, c in enumerate(coeffs))))
+        expected.append(sum(c * x**i for i, c in enumerate(coeffs)))
         coeffs = differentiate(coeffs)
-    got = cheb_derivatives(L, -3.0, L)
-    assert got == pytest.approx(expected, rel=1e-13)
+    assert _origin_derivs(L, 1, 2) == (expected, 2)
 
 
-def test_cheb_derivatives_preconditions():
-    with pytest.raises(ParameterError):
-        cheb_derivatives(3, 1.0, 4)
-    with pytest.raises(ParameterError):
-        cheb_derivatives(3, 1.0, -1)
+def test_origin_derivs_match_numpy_chebyshev():
+    # the j-th derivative of T_L((2x - r - l)/(r - l)) at x = 0 is slope^j T_L^(j)(x0)
+    for L, l, r in [(3, 0.01, 0.3), (8, 1e-5, 4e-4), (12, 0.2, 0.9)]:
+        derivs, slope = _origin_derivs(L, l, r)
+        basis = Chebyshev.basis(L, domain=[l, r])
+        for j in range(L + 1):
+            assert basis.deriv(j)(0.0) == pytest.approx(float(slope**j * derivs[j]), rel=1e-9)
+
+
+def test_degree_outside_one_to_the_cap_is_rejected():
+    # checked before any work, so a huge degree fails at once
+    for L in (0, MAX_DEGREE + 1, 10**10):
+        for build in (lambda: shifted_coeffs(L, 0.1, 0.3), lambda: g_table(L, 0.1, 0.3, 100)):
+            with pytest.raises(ParameterError, match=rf"degree must be in 1\.\.{MAX_DEGREE}"):
+                build()
+    assert np.isfinite(g_table(MAX_DEGREE, 1e-6, 1e-4, 10**5).g).all()
 
 
 def test_shifted_coeffs_degree_one_closed_form():
@@ -166,17 +157,44 @@ def test_g_table_fig1_configuration_signs():
 
 
 def test_g_table_requires_positive_n():
-    with pytest.raises(ParameterError):
-        g_table(2, 0.1, 0.3, 0)
+    for _ in range(2):  # errors are not cached
+        with pytest.raises(ParameterError):
+            g_table(2, 0.1, 0.3, 0)
+
+
+def test_g_table_is_built_once_per_key():
+    key = (5, 0.001, 0.02, 400)
+    table = g_table(*key)
+    assert g_table(*key) is table
+    for other in [(5, 0.001, 0.02, 401), (5, 0.002, 0.02, 400), (5, 0.001, 0.03, 400)]:
+        assert g_table(*other) is not table
+        assert not np.array_equal(g_table(*other).g, table.g)
+
+
+def test_g_table_arrays_are_read_only():
+    table = g_table(5, 0.001, 0.02, 400)
+    for weights in (table.g, table._g_lo):
+        with pytest.raises(ValueError):
+            weights[1] = 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.floats(50, 1e12), n=st.integers(1, 10**9), c0=st.floats(0.45, 1.0))
+def test_cached_g_table_is_bit_identical_to_a_fresh_build(k, n, c0):
+    L, l, r = degree_params(k, n, EstimatorConfig(c0=c0))
+    cached = g_table(L, l, r, n)
+    assert g_table(L, l, r, float(n)) is cached  # equal keys share one table
+    fresh = g_table.__wrapped__(L, l, r, n)
+    assert cached.g.tobytes() == fresh.g.tobytes()
+    assert cached._g_lo.tobytes() == fresh._g_lo.tobytes()
 
 
 def test_direct_evaluation_endpoint_magnitude():
     for L, l, r in [(3, 0.01, 0.3), (8, 1e-5, 4e-4)]:
-        table = g_table(L, l, r, 100)
-        x0 = -(r + l) / (r - l)
-        expected = 1.0 / abs(cheb_eval(L, x0))
+        poly, sup = shifted_poly(L, l, r)
+        assert poly(0.0) == pytest.approx(-1.0, rel=1e-9)
         for x in (l, r):
-            assert abs(poly_eval_direct(table, x)) == pytest.approx(expected, rel=1e-9)
+            assert abs(poly(x)) == pytest.approx(sup, rel=1e-9)
 
 
 def test_coefficients_beyond_double_range_name_their_index():
@@ -190,11 +208,9 @@ def test_coefficients_beyond_double_range_name_their_index():
 
 def test_equioscillation_on_interval():
     for L, l, r in [(2, 0.01, 0.4), (5, 1e-4, 5e-3), (8, 1e-6, 9e-5)]:
-        table = g_table(L, l, r, 100)
-        x0 = -(r + l) / (r - l)
-        sup = 1.0 / abs(cheb_eval(L, x0))
+        poly, sup = shifted_poly(L, l, r)
         xs = np.linspace(l, r, 20001)
-        vals = np.array([poly_eval_direct(table, x) for x in xs])
+        vals = poly(xs)
         assert np.abs(vals).max() == pytest.approx(sup, rel=1e-9)
         # grid-local extrema at the sup level, alternating in sign
         hits = []

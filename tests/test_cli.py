@@ -16,6 +16,7 @@ from supportsize import (
     run_sweep,
     write_fingerprint_file,
 )
+from supportsize.chebyshev import MAX_DEGREE
 from supportsize.cli import main
 from supportsize.sweep import CSV_COLUMNS
 
@@ -270,6 +271,10 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     (["probe", "--family", "uniform:k=inf", "--epsilon", "0.3"], "ParameterError"),
     (["simulate", "--family", "uniform:k=10", "--n-grid", "10", "--estimators", ","],
      "ParameterError"),
+    (["estimate", "--k", "1e6", "--degree", "100000"], "ParameterError"),
+    (["estimate", "--k", "1e6", "--c0", "1e9"], "ParameterError"),
+    (["coeffs", "--k", "1e6", "--n", "1000", "--degree", str(MAX_DEGREE + 1)], "ParameterError"),
+    (["probe", "--family", "uniform:k=1000000000000", "--epsilon", "0.3"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
@@ -355,6 +360,12 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
     cfg.write_text(f"fingerprint={fp}\n")
     code, out, _ = run_cli(capsys, *est)
     assert code == 0 and json.loads(out)["n"] == 3
+    # long flags are spelled in full, so a prefix cannot lose to a config key
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "estimate", "--inp", str(doc), *est[3:])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "ArgumentError"
     cfg.write_text("clamp=maybe\n")
     code, _, err = run_cli(capsys, *est)
     assert code == 2 and "true/false" in json.loads(err)["message"]
