@@ -67,8 +67,6 @@ from .synth import (
     make_zipf,
     parse_family,
     sample_fingerprint,
-    sample_iid,
-    sample_poissonized,
 )
 from .theory import (
     ApproxResult,

@@ -46,9 +46,9 @@ def _report_error(name: str, message: str, **extra) -> None:
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as the JSON error record, with exit code 2.
 
-    Long flags must be spelled in full: ``_apply_config`` tells explicit flags
-    from config keys by their spelling, so an accepted prefix such as
-    ``--inp`` would lose to a config ``input=`` or ``fingerprint=`` key.
+    Long flags must be spelled in full, as the README documents: an accepted
+    prefix such as ``--inp`` would turn into a usage error the day another
+    flag starting with it is added, breaking scripts that relied on it.
     """
 
     def __init__(self, *args, **kwargs):
@@ -209,35 +209,31 @@ def _config_value(action: argparse.Action, value: str, where: str):
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv) -> None:
-    """Fold key=value config pairs into the parsed namespace.
+def _apply_config(
+    parser: argparse.ArgumentParser, ns: argparse.Namespace, argv
+) -> argparse.Namespace:
+    """Parse ``argv`` again with the key=value config pairs as defaults.
 
-    A config value applies only when neither its flag nor any flag of its
-    mutually exclusive group was given on the command line, so explicit flags
-    always win.  Keys mirror long flag names (dashes or underscores; the
-    argparse dest, such as ``round_output`` for ``--round``, works too); keys
-    that do not belong to the invoked command are ignored, letting one file
-    serve several subcommands.  Values are typed and checked like the flag's
-    own argument.  Flags argparse marks as required must still be given on
-    the command line.
+    The values become defaults of the invoked command's parser, so argparse
+    applies one only where its flag was not given: explicit flags always win.
+    Keys mirror long flag names (dashes or underscores; the argparse dest,
+    such as ``round_output`` for ``--round``, works too); keys that do not
+    belong to the invoked command are ignored, letting one file serve several
+    subcommands.  Keys of a mutually exclusive group are ignored too: the only
+    one, ``--input``/``--fingerprint``, is required, so a flag of it is always
+    given.  Values are typed and checked like the flag's own argument.  Flags
+    argparse marks as required must still be given on the command line.
     """
     if not getattr(ns, "config", None):
-        return
-    parser = _command_parser(parser, ns)
-    actions = {action.dest: action for action in parser._actions}
-    for action in parser._actions:
+        return ns
+    command = _command_parser(parser, ns)
+    actions = {action.dest: action for action in command._actions}
+    for action in command._actions:
         for opt in action.option_strings:
             if opt.startswith("--"):
                 actions[opt[2:].replace("-", "_")] = action
-    given = {
-        tok.split("=", 1)[0]
-        for tok in (sys.argv[1:] if argv is None else argv)
-        if isinstance(tok, str) and tok.startswith("--")
-    }
-    explicit = {action for action in parser._actions if given & set(action.option_strings)}
-    for group in parser._mutually_exclusive_groups:
-        if explicit & set(group._group_actions):
-            explicit |= set(group._group_actions)
+    exclusive = {a for group in command._mutually_exclusive_groups for a in group._group_actions}
+    typed = {}
     with open(ns.config, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -247,9 +243,11 @@ def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv)
             if not sep:
                 raise ParameterError(f"{ns.config}:{lineno}: expected key=value, got {line!r}")
             action = actions.get(key.strip().replace("-", "_"))
-            if action is None or action in explicit or not hasattr(ns, action.dest):
+            if action is None or action in exclusive or action.default is argparse.SUPPRESS:
                 continue
-            setattr(ns, action.dest, _config_value(action, val.strip(), f"{ns.config}:{lineno}"))
+            typed[action.dest] = _config_value(action, val.strip(), f"{ns.config}:{lineno}")
+    command.set_defaults(**typed)
+    return parser.parse_args(argv)
 
 
 def _open_output(path):
@@ -429,7 +427,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(parser, ns, argv)
+        ns = _apply_config(parser, ns, argv)
         if ns.command == "estimate":
             return _cmd_estimate(ns)
         if ns.command == "simulate":

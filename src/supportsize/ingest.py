@@ -177,12 +177,12 @@ def build_histogram(tokens: Iterable) -> Histogram:
 
 def fingerprint_of(hist: Histogram) -> Fingerprint:
     """Tally how many symbols occur exactly j times, for each j."""
-    h = Counter(hist.counts.values())
-    return Fingerprint(h=dict(h), n=hist.n)
+    counts = np.fromiter(hist.counts.values(), dtype=np.int64, count=len(hist.counts))
+    return fingerprint_from_counts(counts)
 
 
 def fingerprint_from_counts(counts: np.ndarray) -> Fingerprint:
-    """Fingerprint straight from a dense count vector (zeros ignored)."""
+    """Fingerprint of a count vector (zeros ignored); the one tally of counts into h_j."""
     nz = counts[counts > 0]
     if nz.size == 0:
         return Fingerprint(h={}, n=0)

@@ -9,7 +9,7 @@ estimator, matching how the estimators are compared in practice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -18,9 +18,6 @@ from .errors import ParameterError, UndefinedEstimatorError
 from .estimators import ESTIMATORS, DEFAULT_CONFIG, EstimatorConfig, run_estimator
 from .ingest import Fingerprint
 from .synth import DiscreteDistribution, effective_k, sample_fingerprint
-
-CSV_COLUMNS = ["estimator", "n", "mean_estimate", "rmse", "std_dev", "trials", "undefined_count"]
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -56,6 +53,9 @@ class SweepRow:
     std_dev: Optional[float]
     trials: int
     undefined_count: int
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def trial_rng(master_seed: int, *path: int) -> np.random.Generator:

@@ -2,7 +2,7 @@
 
 All randomness flows through numpy's PCG64 generator seeded with explicit
 ``SeedSequence`` objects, so any (distribution, n, seed) triple reproduces the
-same histogram on every platform.  Fixed-size multinomial draws use a Vose
+same counts on every platform.  Fixed-size multinomial draws use a Vose
 alias table (built once per distribution, O(1) per sample) so sweeps at
 k ~ 1e5..1e6 stay fast; Poissonized draws are vectorized per symbol.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import Fingerprint, Histogram, fingerprint_from_counts
+from .ingest import Fingerprint, fingerprint_from_counts
 
 # Largest k that parse_family accepts, checked before anything is allocated.
 # Memory grows linearly in k: 1e7 symbols with their alias table peak near
@@ -155,26 +155,6 @@ def draw_counts(
     if sampling == "poissonized":
         return rng.poisson(n * dist.masses)
     raise ParameterError(f"sampling must be 'iid' or 'poissonized', got {sampling!r}")
-
-
-def _histogram_from_counts(counts: np.ndarray) -> Histogram:
-    nz = np.nonzero(counts)[0]
-    return Histogram(
-        counts={int(i): int(counts[i]) for i in nz},
-        n=int(counts.sum()),
-    )
-
-
-def sample_iid(dist: DiscreteDistribution, n: int, seed: int) -> Histogram:
-    """Histogram of n iid draws; deterministic for a fixed seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _histogram_from_counts(draw_counts(dist, n, rng, "iid"))
-
-
-def sample_poissonized(dist: DiscreteDistribution, n: int, seed: int) -> Histogram:
-    """Histogram with independent Poi(n p_i) counts; deterministic for a fixed seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _histogram_from_counts(draw_counts(dist, n, rng, "poissonized"))
 
 
 def sample_fingerprint(

@@ -23,6 +23,12 @@ from scipy.special import gammaln, xlogy
 from .errors import ParameterError, PrecisionError, SolverError
 
 _TAIL_CERT = 1e-12  # certified Poisson tail mass for exact TV truncation
+_REMEZ_TOL = 1e-13  # converged once max deviation - |level| <= this times max deviation
+_REMEZ_MAX_ITER = 60
+# PriorPair.validate: weights and their sum, unit mean, moments relative to lam^j
+_PRIOR_TOL_WEIGHTS = 1e-10
+_PRIOR_TOL_MEAN = 1e-8
+_PRIOR_TOL_MOMENT = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +42,6 @@ class ApproxResult:
     error: float
     extrema: np.ndarray         # degree+2 equioscillation abscissae, ascending
     _series: object = field(repr=False, default=None)
-
-    def poly(self, x):
-        return self._series(x)
 
     def residual(self, x):
         return 1.0 / np.asarray(x, dtype=float) - self._series(x)
@@ -59,9 +62,7 @@ def closed_form_error(L: int, a: float, b: float) -> float:
     return (1.0 + s) ** 2 / (2.0 * a) * ((1.0 - s) / (1.0 + s)) ** L
 
 
-def best_inv_approx(
-    degree: int, a: float, b: float, tol: float = 1e-13, max_iter: int = 60
-) -> ApproxResult:
+def best_inv_approx(degree: int, a: float, b: float) -> ApproxResult:
     """Remez exchange for 1/x on [a, b].
 
     1/x is smooth and strictly convex on [a, b] with a >= 1, so the residual
@@ -80,7 +81,7 @@ def best_inv_approx(
     signs = (-1.0) ** np.arange(m)
     best_gap = math.inf
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(_REMEZ_MAX_ITER):
         system = np.hstack([_cheb.chebvander((x - mid) / half, degree), signs[:, None]])
         try:
             sol = np.linalg.solve(system, 1.0 / x)
@@ -91,10 +92,10 @@ def best_inv_approx(
         x = _alternating_extrema(series, m)
         dev = np.abs(1.0 / x - series(x))
         # residual evaluation carries ~eps/a of absolute noise, so narrow
-        # intervals (tiny errors) stall there instead of reaching tol; a
+        # intervals (tiny errors) stall there instead of reaching _REMEZ_TOL; a
         # stalled gap well below the deviation scale is converged in doubles
         gap = dev.max() - abs(level)
-        if gap <= tol * dev.max() or (stalled >= 3 and gap <= 1e-6 * dev.max()):
+        if gap <= _REMEZ_TOL * dev.max() or (stalled >= 3 and gap <= 1e-6 * dev.max()):
             mono = series.convert(kind=np.polynomial.Polynomial)
             return ApproxResult(
                 degree=degree, a=a, b=b,
@@ -109,7 +110,7 @@ def best_inv_approx(
             stalled = 0
         best_gap = min(best_gap, gap)
     raise SolverError(
-        f"Remez did not converge in {max_iter} iterations on [{a}, {b}], degree {degree}; "
+        f"Remez did not converge in {_REMEZ_MAX_ITER} iterations on [{a}, {b}], degree {degree}; "
         f"last level {abs(level):.3e}, max deviation {dev.max():.3e}"
     )
 
@@ -192,21 +193,21 @@ class PriorPair:
         weights = self.weights_u if which == "u" else self.weights_v
         return float(np.dot(weights, atoms**j))
 
-    def validate(self, tol_weights=1e-10, tol_mean=1e-8, tol_moment=1e-8):
+    def validate(self):
         for atoms, weights in ((self.atoms_u, self.weights_u), (self.atoms_v, self.weights_v)):
-            if np.any(weights < -tol_weights):
+            if np.any(weights < -_PRIOR_TOL_WEIGHTS):
                 raise SolverError("negative prior weight")
-            if abs(weights.sum() - 1.0) > tol_weights:
+            if abs(weights.sum() - 1.0) > _PRIOR_TOL_WEIGHTS:
                 raise SolverError("prior weights do not sum to 1")
             nonzero = atoms[atoms > 0]
             if nonzero.size and (nonzero.min() < (1 + self.nu) * (1 - 1e-9) or
                                  nonzero.max() > self.lam * (1 + 1e-9)):
                 raise SolverError("prior atom outside [1+nu, lam]")
         for which in ("u", "v"):
-            if abs(self.moment(which, 1) - 1.0) > tol_mean:
+            if abs(self.moment(which, 1) - 1.0) > _PRIOR_TOL_MEAN:
                 raise SolverError("prior mean is not 1")
         for j in range(1, self.L + 1):
-            if abs(self.moment("u", j) - self.moment("v", j)) > tol_moment * self.lam**j:
+            if abs(self.moment("u", j) - self.moment("v", j)) > _PRIOR_TOL_MOMENT * self.lam**j:
                 raise SolverError(f"moment {j} mismatch beyond tolerance")
         return True
 

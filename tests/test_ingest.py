@@ -1,6 +1,7 @@
 """Tokenization, histograms, fingerprints, file round trips, resampling."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,15 +134,14 @@ def test_fingerprint_relabeling_invariance():
 
 
 def test_fingerprint_from_counts_matches_histogram_route():
-    rng = np.random.default_rng(3)
-    counts = rng.integers(0, 6, size=200)
-    fp_fast = fingerprint_from_counts(counts)
-    hist = Histogram(
-        counts={i: int(c) for i, c in enumerate(counts) if c > 0},
-        n=int(counts.sum()),
-    )
-    assert dict(fp_fast.items()) == dict(fingerprint_of(hist).items())
-    assert fp_fast.n == hist.n
+    # both public routes against a tally of the symbols made in the test
+    random_counts = np.random.default_rng(3).integers(0, 6, size=200)
+    for counts in (random_counts, np.zeros(5, dtype=np.int64), np.array([0, 7, 0])):
+        symbols = np.repeat(np.arange(counts.size), counts).tolist()
+        expected = dict(Counter(Counter(symbols).values()))
+        for fp in (fingerprint_from_counts(counts), fingerprint_of(build_histogram(symbols))):
+            assert dict(fp.items()) == expected
+            assert fp.n == len(symbols)
 
 
 def test_fingerprint_file_round_trip(tmp_path):

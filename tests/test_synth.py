@@ -16,8 +16,6 @@ from supportsize import (
     make_zipf,
     parse_family,
     sample_fingerprint,
-    sample_iid,
-    sample_poissonized,
 )
 
 
@@ -87,27 +85,29 @@ def test_family_membership_in_model_class():
         assert np.all(d.masses >= 1.0 / k * (1 - 1e-12))
 
 
+def _seeded(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def test_sample_iid_examples_and_determinism():
     d = make_uniform(10)
-    assert sample_iid(d, 0, seed=1).n == 0
+    assert draw_counts(d, 0, _seeded(1)).sum() == 0
 
     point = DiscreteDistribution(masses=np.array([1.0]))
-    h = sample_iid(point, 7, seed=3)
-    assert dict(h.counts) == {0: 7}
+    assert draw_counts(point, 7, _seeded(3)).tolist() == [7]
 
-    h1 = sample_iid(d, 500, seed=9)
-    h2 = sample_iid(d, 500, seed=9)
-    assert dict(h1.counts) == dict(h2.counts)
-    h3 = sample_iid(d, 500, seed=10)
-    assert dict(h1.counts) != dict(h3.counts)
-    assert h1.n == 500  # multinomial totals are exact
+    c1 = draw_counts(d, 500, _seeded(9))
+    c2 = draw_counts(d, 500, _seeded(9))
+    assert np.array_equal(c1, c2)
+    c3 = draw_counts(d, 500, _seeded(10))
+    assert not np.array_equal(c1, c3)
+    assert c1.sum() == 500  # multinomial totals are exact
 
 
 def test_sample_iid_uniform_concentration():
     # all cell counts within 5 sigma of n/k for a seeded batch
     k, n = 1000, 10**6
-    h = sample_iid(make_uniform(k), n, seed=123)
-    counts = np.array([h.counts.get(i, 0) for i in range(k)])
+    counts = draw_counts(make_uniform(k), n, _seeded(123))
     sigma = math.sqrt(n * (1 / k) * (1 - 1 / k))
     assert counts.sum() == n
     assert np.abs(counts - n / k).max() <= 5 * sigma
@@ -115,10 +115,10 @@ def test_sample_iid_uniform_concentration():
 
 def test_sample_poissonized_total_behaviour():
     d = make_uniform(200)
-    assert sample_poissonized(d, 0, seed=0).n == 0
+    assert draw_counts(d, 0, _seeded(0), "poissonized").sum() == 0
     n = 1000
     trials = 300
-    totals = np.array([sample_poissonized(d, n, seed=s).n for s in range(trials)])
+    totals = np.array([draw_counts(d, n, _seeded(s), "poissonized").sum() for s in range(trials)])
     # empirical mean of Poi(n) within 3 standard errors
     assert abs(totals.mean() - n) <= 3 * math.sqrt(n / trials)
 
