@@ -17,7 +17,7 @@ import numpy as np
 from . import theory
 from .chebyshev import g_table, shifted_coeffs
 from .errors import ParameterError, SupportSizeError
-from .estimators import ESTIMATORS, EstimatorConfig, degree_params, run_estimator
+from .estimators import DEFAULT_CONFIG, ESTIMATORS, EstimatorConfig, degree_params, run_estimator
 from .ingest import (
     TokenizerConfig,
     _iter_decoded_lines,
@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--k", type=float, required=True,
                      help="reciprocal of the smallest possible nonzero mass")
     est.add_argument("--estimator", choices=sorted(ESTIMATORS), default="wy")
-    est.add_argument("--c0", type=float, default=0.45)
-    est.add_argument("--c1", type=float, default=0.5)
+    est.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
+    est.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
     est.add_argument("--degree", type=int, default=None, help="override the polynomial degree L")
     est.add_argument("--t", type=float, default=1.0, help="extrapolation ratio for et/gtoulmin")
     est.add_argument("--J", type=int, default=10, help="series cutoff for the et estimator")
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=50)
     sim.add_argument("--estimators", default="wy,plugin,gt")
     sim.add_argument("--sampling", choices=["iid", "poissonized"], default="iid")
-    sim.add_argument("--c0", type=float, default=0.45)
-    sim.add_argument("--c1", type=float, default=0.5)
+    sim.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
+    sim.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
 
     prb = sub.add_parser("probe", help="empirical sample complexity at a target accuracy")
     _add_common(prb)
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cfs)
     cfs.add_argument("--k", type=float, required=True)
     cfs.add_argument("--n", type=int, required=True)
-    cfs.add_argument("--c0", type=float, default=0.45)
-    cfs.add_argument("--c1", type=float, default=0.5)
+    cfs.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
+    cfs.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
     cfs.add_argument("--degree", type=int, default=None)
 
     thy = sub.add_parser("theory", help="lower-bound laboratory")
@@ -275,7 +275,7 @@ def _write_records(records: list[dict], ns) -> None:
 
 
 def _cmd_estimate(ns) -> int:
-    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, k=ns.k, override_L=ns.degree)
+    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
     if ns.fingerprint:
         fp = read_fingerprint_file(ns.fingerprint)
     else:
@@ -294,7 +294,7 @@ def _cmd_estimate(ns) -> int:
             fp = fingerprint_of(build_histogram(tokens))
 
     name = ns.estimator
-    res = run_estimator(name, fp, cfg=cfg, t=ns.t, J=ns.J)
+    res = run_estimator(name, fp, ns.k, cfg, ns.t, ns.J)
     value = res.value
     if ns.clamp:
         value = min(max(value, float(fp.distinct)), ns.k)
@@ -325,7 +325,10 @@ def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
 def _cmd_simulate(ns) -> int:
     family = parse_family(ns.family)
     if ns.n_grid:
-        grid = sorted({int(v) for v in ns.n_grid.split(",")})
+        try:
+            grid = sorted({int(v) for v in ns.n_grid.split(",")})
+        except ValueError:
+            raise ParameterError(f"--n-grid must list integers: {ns.n_grid!r}") from None
     elif ns.n_min is not None and ns.n_max is not None:
         grid = _geometric_grid(ns.n_min, ns.n_max, ns.n_points)
     else:

@@ -2,8 +2,9 @@
 
 ``k`` is the reciprocal of the smallest nonzero probability mass the unknown
 distribution may carry (the model parameter), not the true support size; the
-two are easy to confuse.  Estimates are reported as reals with a rounded
-companion and are never clamped here (clamping is a CLI option).
+two are easy to confuse.  Estimates are reported as reals, never clamped or
+rounded here (both are CLI options).  A sample too small for an estimator,
+like any other it is not defined on, raises ``UndefinedEstimatorError``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class EstimatorConfig:
 
     c0: float = 0.45
     c1: float = 0.5
-    k: Optional[float] = None
     override_L: Optional[int] = None
 
     def __post_init__(self):
@@ -40,8 +40,6 @@ class EstimatorConfig:
             raise ParameterError(
                 f"c0 and c1 must be positive and finite, got c0={self.c0}, c1={self.c1}"
             )
-        if self.k is not None and not 1 <= self.k < math.inf:
-            raise ParameterError(f"k must be finite and >= 1, got {self.k}")
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -50,14 +48,11 @@ DEFAULT_CONFIG = EstimatorConfig()
 @dataclass(frozen=True)
 class Estimate:
     value: float
-    rounded: int
-    estimator_name: str
     params: dict
 
     @staticmethod
-    def of(value: float, name: str, **params) -> "Estimate":
-        return Estimate(value=float(value), rounded=round(float(value)),
-                        estimator_name=name, params=params)
+    def of(value: float, **params) -> "Estimate":
+        return Estimate(value=float(value), params=params)
 
 
 def degree_params(k: float, n: int, cfg: EstimatorConfig = DEFAULT_CONFIG):
@@ -86,14 +81,6 @@ def degree_params(k: float, n: int, cfg: EstimatorConfig = DEFAULT_CONFIG):
     return L, l, r
 
 
-def _resolve_k(k, cfg):
-    if k is None:
-        k = cfg.k
-    if k is None:
-        raise ParameterError("k (reciprocal minimum mass) must be given, via argument or config")
-    return float(k)
-
-
 def chebyshev_estimate(
     fp: Fingerprint, k: Optional[float] = None, cfg: EstimatorConfig = DEFAULT_CONFIG
 ) -> Estimate:
@@ -104,12 +91,13 @@ def chebyshev_estimate(
     the polynomial deviating least from zero on [l, r] among those pinned to
     -1 at the origin.  Evaluation is O(L^2 + #distinct multiplicities).
     """
-    k = _resolve_k(k, cfg)
+    if k is None:
+        raise ParameterError("k (reciprocal minimum mass) must be given")
     if fp.n < 1:
-        raise ParameterError("chebyshev estimator needs at least one sample")
+        raise UndefinedEstimatorError("chebyshev estimator needs at least one sample")
     L, l, r = degree_params(k, fp.n, cfg)
     value = _linear(fp, g_table(L, l, r, fp.n).g.__getitem__, L)
-    return Estimate.of(value, "chebyshev", n=fp.n, k=k, L=L, l=l, r=r,
+    return Estimate.of(value, n=fp.n, k=k, L=L, l=l, r=r,
                        c0=cfg.c0, c1=cfg.c1)
 
 
@@ -135,24 +123,26 @@ def _linear(
 
 def plug_in(fp: Fingerprint) -> Estimate:
     """Number of distinct observed symbols."""
-    return Estimate.of(_linear(fp), "plugin", n=fp.n)
+    return Estimate.of(_linear(fp), n=fp.n)
 
 
 def _coverage(fp: Fingerprint) -> float:
-    return 1.0 - fp.get(1) / fp.n
+    """C = 1 - h_1/n; the estimators that divide by it are undefined at C = 0."""
+    c = 1.0 - fp.get(1) / fp.n
+    if c <= 0.0:
+        raise UndefinedEstimatorError(
+            "sample coverage estimate is zero (every symbol seen exactly once); "
+            "the estimator is not defined"
+        )
+    return c
 
 
 def good_turing(fp: Fingerprint) -> Estimate:
     """Plug-in count divided by the coverage estimate C = 1 - h_1/n (Good 1953)."""
     if fp.n < 1:
-        raise ParameterError("Good-Turing estimator needs at least one sample")
+        raise UndefinedEstimatorError("Good-Turing estimator needs at least one sample")
     c = _coverage(fp)
-    if c <= 0.0:
-        raise UndefinedEstimatorError(
-            "sample coverage estimate is zero (every symbol seen exactly once); "
-            "the Good-Turing estimator is not defined"
-        )
-    return Estimate.of(fp.distinct / c, "good_turing", n=fp.n, coverage=c)
+    return Estimate.of(fp.distinct / c, n=fp.n, coverage=c)
 
 
 def chao_lee(fp: Fingerprint, variant: int = 1) -> Estimate:
@@ -169,12 +159,8 @@ def chao_lee(fp: Fingerprint, variant: int = 1) -> Estimate:
     if variant not in (1, 2):
         raise ParameterError(f"variant must be 1 or 2, got {variant}")
     if fp.n < 2:
-        raise ParameterError("Chao-Lee estimators need n >= 2")
+        raise UndefinedEstimatorError("Chao-Lee estimators need n >= 2")
     c = _coverage(fp)
-    if c <= 0.0:
-        raise UndefinedEstimatorError(
-            "sample coverage estimate is zero; Chao-Lee estimators are not defined"
-        )
     n = fp.n
     d = fp.distinct
     m2 = sum(j * (j - 1) * hj for j, hj in fp.items())
@@ -183,7 +169,7 @@ def chao_lee(fp: Fingerprint, variant: int = 1) -> Estimate:
     if variant == 2:
         gamma_sq = max(gamma_sq * (1.0 + (1.0 - c) * m2 / (c * (n - 1))), 0.0)
     value = base + n * (1.0 - c) / c * gamma_sq
-    return Estimate.of(value, f"chao_lee_{variant}", n=n, coverage=c, cv_sq=gamma_sq)
+    return Estimate.of(value, n=n, coverage=c, cv_sq=gamma_sq)
 
 
 def efron_thisted(fp: Fingerprint, t: float = 1.0, J: int = 10) -> Estimate:
@@ -193,25 +179,25 @@ def efron_thisted(fp: Fingerprint, t: float = 1.0, J: int = 10) -> Estimate:
     b_j = P[Binom(J, 1/(t+1)) >= j], the regularized incomplete beta
     I_{1/(t+1)}(j, J-j+1), evaluated at observed j only.
     """
-    if fp.n < 1:
-        raise ParameterError("Efron-Thisted estimator needs at least one sample")
     if not 0 < t < math.inf:
         raise ParameterError(f"t must be finite and > 0, got {t}")
     if J < 1:
         raise ParameterError(f"J must be a positive integer, got {J}")
+    if fp.n < 1:
+        raise UndefinedEstimatorError("Efron-Thisted estimator needs at least one sample")
     q = 1.0 / (t + 1.0)
     value = _linear(fp, lambda j: 1.0 - (-t) ** j * float(betainc(j, J - j + 1, q)), J)
-    return Estimate.of(value, "efron_thisted", n=fp.n, t=t, J=J)
+    return Estimate.of(value, n=fp.n, t=t, J=J)
 
 
 def good_toulmin(fp: Fingerprint, t: float = 1.0) -> Estimate:
     """Unsmoothed extrapolation series: plug_in + sum_j (-1)^(j+1) t^j h_j (Good & Toulmin 1956)."""
-    if fp.n < 1:
-        raise ParameterError("Good-Toulmin estimator needs at least one sample")
     if not 0 < t < math.inf:
         raise ParameterError(f"t must be finite and > 0, got {t}")
+    if fp.n < 1:
+        raise UndefinedEstimatorError("Good-Toulmin estimator needs at least one sample")
     value = _linear(fp, lambda j: 1.0 - (-t) ** j, math.inf)
-    return Estimate.of(value, "good_toulmin", n=fp.n, t=t)
+    return Estimate.of(value, n=fp.n, t=t)
 
 
 # The one token -> estimator table, shared by the CLI, sweeps and probes.
@@ -235,7 +221,9 @@ def run_estimator(
     t: float = 1.0,
     J: int = 10,
 ) -> Estimate:
-    """Run the estimator registered under ``token`` in ``ESTIMATORS``."""
+    """Run the estimator registered under ``token`` in ``ESTIMATORS``; a given ``k`` is checked."""
     if token not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {token!r}; choose from {sorted(ESTIMATORS)}")
+    if k is not None and not 1 <= k < math.inf:
+        raise ParameterError(f"k must be finite and >= 1, got {k}")
     return ESTIMATORS[token](fp, k, cfg, t, J)

@@ -66,12 +66,7 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
 def _trial_value(
     estimator: str, fp: Fingerprint, k: float, cfg: EstimatorConfig
 ) -> Optional[float]:
-    """One estimator's value on one trial's sample, or None where it is undefined.
-
-    On an empty sample only the plug-in count (zero) is defined.
-    """
-    if fp.n == 0 and estimator != "plugin":
-        return None
+    """One estimator's value on one trial's sample, or None where it is undefined."""
     try:
         return run_estimator(estimator, fp, k, cfg).value
     except UndefinedEstimatorError:
@@ -157,18 +152,22 @@ def probe_sample_complexity(
 
     Doubles n out of a failing region, then bisects; because the empirical
     curve is only stochastically monotone, the boundary point is re-verified
-    with 4x trials and the search resumes upward if the verification fails.
-    An estimator that is undefined on a trial counts as a failure.  epsilon
-    >= 1/2 returns 0 (support sizes never exceed k, so the trivial estimate
-    k/2 always lands within k/2).
+    with 4x trials, and if the verification fails the search hops 5 % forward
+    and starts again, at most six times.  An estimator that is undefined on a
+    trial counts as a failure.  epsilon >= 1/2 returns 0 (support sizes never
+    exceed k, so the trivial estimate k/2 always lands within k/2).
     """
     if estimator not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}")
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not 0 <= delta < 1:
+        raise ParameterError(f"delta must be in [0, 1), got {delta}")
     k = effective_k(family)
     if epsilon >= 0.5:
         return ProbeResult(estimator, epsilon, delta, k, 0, None, None, None,
                            trials, 0, False, [])
-    if epsilon < 1.0 / k:
+    if not epsilon >= 1.0 / k:
         raise ParameterError(f"epsilon must be >= 1/k = {1.0 / k:.3g}, got {epsilon}")
     if ceiling is None:
         ceiling = int(10 * k * math.log(k))
@@ -176,7 +175,7 @@ def probe_sample_complexity(
     tol = epsilon * k
     evaluations: list[tuple[int, float]] = []
 
-    def failure_freq(n: int, reps: int, salt: int) -> float:
+    def failure_freq(n: int, reps: int = trials, salt: int = 0) -> float:
         failures = 0
         for t in range(reps):
             rng = trial_rng(seed, salt, n, t)
@@ -187,24 +186,16 @@ def probe_sample_complexity(
         evaluations.append((n, freq))
         return freq
 
-    def search_up(first_n: int, lo_init: int):
-        n = max(first_n, 1)
-        lo = lo_init  # highest n known (or assumed) to fail
-        while n <= ceiling:
-            if failure_freq(n, trials, 0) <= delta:
-                return lo, n
-            lo = n
-            n *= 2
-        return lo, None
-
-    lo, hi = search_up(1, 0)
-    for _ in range(6):  # verification rounds through the noisy boundary zone
-        if hi is None:
-            return ProbeResult(estimator, epsilon, delta, k, None, None, None, None,
-                               trials, ceiling, True, evaluations)
+    lo, n = 0, 1  # lo: the highest n known (or assumed) to fail
+    for hop in range(7):
+        while n <= ceiling and failure_freq(n) > delta:
+            lo, n = n, 2 * n
+        if n > ceiling or hop == 6:  # at most six verifications; a seventh search is not used
+            break
+        hi = n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if failure_freq(mid, trials, 0) <= delta:
+            if failure_freq(mid) <= delta:
                 hi = mid
             else:
                 lo = mid
@@ -213,7 +204,6 @@ def probe_sample_complexity(
             wl, wh = wilson_interval(round(freq4 * 4 * trials), 4 * trials)
             return ProbeResult(estimator, epsilon, delta, k, hi, freq4, wl, wh,
                                trials, ceiling, False, evaluations)
-        # boundary point failed the stronger test: hop 5% forward and rescan
-        lo, hi = search_up(hi + max(1, hi // 20), hi)
+        lo, n = hi, hi + max(1, hi // 20)
     return ProbeResult(estimator, epsilon, delta, k, None, None, None, None,
                        trials, ceiling, True, evaluations)

@@ -27,7 +27,6 @@ class DiscreteDistribution:
     """Normalized positive masses with the minimum mass cached."""
 
     masses: np.ndarray
-    family_label: str = ""
     min_mass: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -55,19 +54,19 @@ class DiscreteDistribution:
         return cached
 
 
-def _normalized(weights: np.ndarray, label: str) -> DiscreteDistribution:
+def _normalized(weights: np.ndarray) -> DiscreteDistribution:
     w = np.asarray(weights, dtype=float)
     w = w / math.fsum(w.tolist())
     # one correction pass keeps the fsum within a few ulps of 1
     w = w / math.fsum(w.tolist())
-    return DiscreteDistribution(masses=w, family_label=label)
+    return DiscreteDistribution(masses=w)
 
 
 def make_uniform(k: int) -> DiscreteDistribution:
     """p_i = 1/k on k symbols."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    return _normalized(np.ones(k), f"uniform:k={k}")
+    return _normalized(np.ones(k))
 
 
 def make_zipf(k: int, alpha: float) -> DiscreteDistribution:
@@ -77,7 +76,7 @@ def make_zipf(k: int, alpha: float) -> DiscreteDistribution:
     if not 0 <= alpha < math.inf:
         raise ParameterError(f"alpha must be finite and >= 0, got {alpha}")
     i = np.arange(1, k + 1, dtype=float)
-    return _normalized(i**-alpha, f"zipf:k={k},alpha={alpha:g}")
+    return _normalized(i**-alpha)
 
 
 def make_mixture(k: int) -> DiscreteDistribution:
@@ -94,7 +93,7 @@ def make_mixture(k: int) -> DiscreteDistribution:
     zipf *= 0.5 / math.fsum(zipf.tolist())
     geo = (1.0 - 2.0 / k) ** (i - 1.0)
     geo *= 0.5 / math.fsum(geo.tolist())
-    return _normalized(np.concatenate([zipf, geo]), f"mixture:k={k}")
+    return _normalized(np.concatenate([zipf, geo]))
 
 
 def effective_k(dist: DiscreteDistribution) -> float:

@@ -20,9 +20,14 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy.optimize import linprog
 from scipy.special import gammaln, xlogy
 
+from .chebyshev import MAX_DEGREE
 from .errors import ParameterError, PrecisionError, SolverError
 
 _TAIL_CERT = 1e-12  # certified Poisson tail mass for exact TV truncation
+# Largest Poisson cutoff of an exact TV, given or derived: the pmf table has cutoff + 1
+# rows per atom, and for a pair with 23 atoms 1e5 rows take 0.1 s and 20 MB, 1e6 rows
+# 1 s and 200 MB (x86-64 Linux, numpy 2.4).  The lower bounds need cutoffs near ln k.
+MAX_TV_CUTOFF = 10**5
 _REMEZ_TOL = 1e-13  # converged once max deviation - |level| <= this times max deviation
 _REMEZ_MAX_ITER = 60
 # PriorPair.validate: weights and their sum, unit mean, moments relative to lam^j
@@ -52,10 +57,10 @@ def closed_form_error(L: int, a: float, b: float) -> float:
 
     Equals half of ((1+s)^2/a) * ((1-s)/(1+s))^L with s = sqrt(a/b); the
     classical formula for the interval [1+nu, lambda], reparameterized by the
-    endpoints (it is scale-covariant, so any 1 <= a < b is valid).
+    endpoints (it is scale-covariant, so any 1 <= a < b < inf is valid).
     """
-    if not (1.0 <= a < b):
-        raise ParameterError(f"need 1 <= a < b, got a={a}, b={b}")
+    if not 1.0 <= a < b < math.inf:
+        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
     if L < 1:
         raise ParameterError(f"need L >= 1, got {L}")
     s = math.sqrt(a / b)
@@ -71,10 +76,10 @@ def best_inv_approx(degree: int, a: float, b: float) -> ApproxResult:
     The polynomial is carried in the Chebyshev basis of the interval for
     conditioning and converted to monomial coefficients only for output.
     """
-    if not (1.0 <= a < b):
-        raise ParameterError(f"need 1 <= a < b, got a={a}, b={b}")
-    if degree < 0:
-        raise ParameterError(f"degree must be >= 0, got {degree}")
+    if not 1.0 <= a < b < math.inf:
+        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ParameterError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
     m = degree + 2
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     x = mid - half * np.cos(np.pi * np.arange(m) / (m - 1))  # reference, ascending in [a, b]
@@ -145,10 +150,10 @@ def primal_value(L: int, a: float, b: float, grid_size: int) -> float:
     module exists to witness).  Moment constraints are expressed in the
     Chebyshev basis of the interval so the LP stays well conditioned.
     """
-    if not (1.0 <= a < b):
-        raise ParameterError(f"need 1 <= a < b, got a={a}, b={b}")
-    if L < 0:
-        raise ParameterError(f"need L >= 0, got {L}")
+    if not 1.0 <= a < b < math.inf:
+        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
+    if not 0 <= L <= MAX_DEGREE:
+        raise ParameterError(f"need 0 <= L <= {MAX_DEGREE}, got {L}")
     if grid_size < L + 2:
         raise ParameterError(f"grid_size must be >= L+2 = {L + 2}, got {grid_size}")
     xs = np.linspace(a, b, grid_size)
@@ -224,12 +229,12 @@ def construct_prior_pair(L: int, nu: float, lam: float) -> PriorPair:
     w/x at x plus a remainder at zero turns them into the unit-mean pair
     U, U' whose gap P[U'=0] - P[U=0] equals twice the approximation error.
     """
-    if nu < 0:
-        raise ParameterError(f"nu must be >= 0, got {nu}")
-    if lam <= 1 + nu:
-        raise ParameterError(f"need lam > 1 + nu, got lam={lam}, nu={nu}")
-    if L < 1:
-        raise ParameterError(f"need L >= 1, got {L}")
+    if not 0 <= nu < math.inf:
+        raise ParameterError(f"nu must be finite and >= 0, got {nu}")
+    if not 1 + nu < lam < math.inf:
+        raise ParameterError(f"need 1 + nu < lam < inf, got lam={lam}, nu={nu}")
+    if not 1 <= L <= MAX_DEGREE:
+        raise ParameterError(f"need 1 <= L <= {MAX_DEGREE}, got {L}")
     a, b = 1.0 + nu, lam
     approx = best_inv_approx(L - 1, a, b)
     x = np.sort(approx.extrema)
@@ -303,8 +308,8 @@ def tv_exact_atoms(
     The pmf difference is summed exactly up to ``cutoff``; the discarded tail
     is covered by a Chernoff bound, giving a certified lower/upper bracket.
     """
-    if scale < 0:
-        raise ParameterError(f"scale must be >= 0, got {scale}")
+    if not 0 <= scale < math.inf:
+        raise ParameterError(f"scale must be finite and >= 0, got {scale}")
     atoms_a = np.asarray(atoms_a, dtype=float)
     atoms_b = np.asarray(atoms_b, dtype=float)
     lam_a = scale * atoms_a
@@ -312,10 +317,13 @@ def tv_exact_atoms(
     lam_max_a = float(lam_a.max(initial=0.0))
     lam_max_b = float(lam_b.max(initial=0.0))
     lam_max = max(lam_max_a, lam_max_b)
-    if cutoff is None:
-        cutoff = max(int(math.ceil(lam_max)) + 1, 8)
-        while poisson_tail_bound(lam_max, cutoff) >= 0.5 * _TAIL_CERT:
+    if cutoff is None:  # the smallest certified cutoff, searched no further than the cap
+        cutoff = max(int(math.ceil(min(lam_max, MAX_TV_CUTOFF))) + 1, 8)
+        while cutoff <= MAX_TV_CUTOFF and poisson_tail_bound(lam_max, cutoff) >= 0.5 * _TAIL_CERT:
             cutoff = max(cutoff + 4, int(cutoff * 1.25))
+    if not 0 <= cutoff <= MAX_TV_CUTOFF:
+        raise ParameterError(f"Poisson cutoff must be in 0..{MAX_TV_CUTOFF}, got {cutoff} "
+                             f"(scale * largest atom = {lam_max:.3g})")
     tail = 0.5 * (poisson_tail_bound(lam_max_a, cutoff) + poisson_tail_bound(lam_max_b, cutoff))
     if tail >= _TAIL_CERT:
         raise PrecisionError(
@@ -349,18 +357,26 @@ class TvBound:
     value: float
 
 
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where that lies beyond the double range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def tv_bound(lam_max: float, L: int) -> TvBound:
     """Upper bound on the TV between Poisson mixtures of variables on [0, lam_max]
     sharing their first L moments."""
-    if lam_max <= 0:
-        raise ParameterError(f"lam_max must be > 0, got {lam_max}")
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
+    if not 0 < lam_max < math.inf:
+        raise ParameterError(f"lam_max must be finite and > 0, got {lam_max}")
+    if not 1 <= L <= MAX_DEGREE:
+        raise ParameterError(f"L must be in 1..{MAX_DEGREE}, got {L}")
     half = lam_max / 2.0
-    full = half ** (L + 1) / math.factorial(L + 1) * (
-        2.0 + 2.0 ** (half - L) + 2.0 ** (lam_max / (2.0 * math.log(2.0)) - L)
+    full = _pow(half, L + 1) / math.factorial(L + 1) * (
+        2.0 + _pow(2.0, half - L) + _pow(2.0, lam_max / (2.0 * math.log(2.0)) - L)
     )
-    simplified = (math.e * lam_max / (2.0 * L)) ** L
+    simplified = _pow(math.e * lam_max / (2.0 * L), L)
     return TvBound(full=full, simplified=simplified, value=min(full, simplified))
 
 
@@ -391,10 +407,11 @@ def lecam_certificate(
     """
     if not 0.0 < alpha < 0.5:
         raise ParameterError(f"alpha must be in (0, 1/2), got {alpha}")
-    if nu <= 0.0:
-        raise ParameterError(f"nu must be > 0, got {nu}")
-    if k < 2 or n < 0:
-        raise ParameterError(f"need k >= 2 and n >= 0, got k={k}, n={n}")
+    if not 0.0 < nu < math.inf:
+        raise ParameterError(f"nu must be finite and > 0, got {nu}")
+    if not (2 <= k < math.inf and 0 <= n < math.inf and 0 < epsilon < 0.5):
+        raise ParameterError(f"need finite k >= 2, n >= 0 and 0 < epsilon < 1/2, "
+                             f"got k={k}, n={n}, epsilon={epsilon}")
     pair = construct_prior_pair(L, nu, lam)
     d = pair.gap
     t1 = 2.0 * lam / (k * nu**2)
@@ -419,10 +436,10 @@ def lecam_recipe(k: float, epsilon: float, c0: float = 1.0, gamma: float = 2.4) 
     nu = sqrt(sqrt(lam/k) (1 - 2 eps)); gamma > 2 c0 keeps the separation
     requirement satisfiable.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must be in (0, 1/2), got {epsilon}")
-    if gamma <= 2.0 * c0:
-        raise ParameterError(f"need gamma > 2*c0, got gamma={gamma}, c0={c0}")
+    if not (2 <= k < math.inf and 0 < epsilon < 0.5):
+        raise ParameterError(f"need finite k >= 2 and 0 < eps < 1/2, got k={k}, epsilon={epsilon}")
+    if not (0.0 < c0 < math.inf and 2.0 * c0 < gamma < math.inf):
+        raise ParameterError(f"need finite 0 < 2*c0 < gamma, got gamma={gamma}, c0={c0}")
     logk = math.log(k)
     L = max(int(math.floor(c0 * logk)), 1)
     lam = (gamma * logk / math.log(1.0 / (2.0 * epsilon))) ** 2
@@ -454,8 +471,8 @@ def max_exp_cheby(beta: float, L: int) -> ExpChebMax:
     beta >= L^2 the function is decreasing on all of [1, inf) and the
     maximum sits at the boundary x = 1.
     """
-    if beta <= 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ParameterError(f"beta must be finite and > 0, got {beta}")
     if L < 1:
         raise ParameterError(f"L must be >= 1, got {L}")
     target = beta / L
@@ -493,8 +510,6 @@ def max_exp_cheby(beta: float, L: int) -> ExpChebMax:
 
 def rate_envelope(k: float, n: float) -> float:
     """Exponent shape of the minimax risk: max(sqrt(n ln k / k), n/k, 1)."""
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    if not (2 <= k < math.inf and 0 <= n < math.inf):
+        raise ParameterError(f"need finite k >= 2 and n >= 0, got k={k}, n={n}")
     return max(math.sqrt(n * math.log(k) / k), n / k, 1.0)

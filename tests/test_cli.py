@@ -18,6 +18,7 @@ from supportsize import (
 )
 from supportsize.chebyshev import MAX_DEGREE
 from supportsize.cli import main
+from supportsize.theory import MAX_TV_CUTOFF
 from supportsize.sweep import CSV_COLUMNS
 
 
@@ -275,6 +276,29 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     (["estimate", "--k", "1e6", "--c0", "1e9"], "ParameterError"),
     (["coeffs", "--k", "1e6", "--n", "1000", "--degree", str(MAX_DEGREE + 1)], "ParameterError"),
     (["probe", "--family", "uniform:k=1000000000000", "--epsilon", "0.3"], "ParameterError"),
+    (["probe", "--family", "uniform:k=100", "--epsilon", "0.2", "--trials", "0"], "ParameterError"),
+    (["probe", "--family", "uniform:k=100", "--epsilon", "0.2", "--trials", "-3"],
+     "ParameterError"),
+    (["probe", "--family", "uniform:k=100", "--epsilon", "nan"], "ParameterError"),
+    (["probe", "--family", "uniform:k=100", "--epsilon", "0.2", "--delta", "nan"],
+     "ParameterError"),
+    (["probe", "--family", "uniform:k=100", "--epsilon", "0.2", "--delta", "1"], "ParameterError"),
+    (["simulate", "--family", "uniform:k=100", "--n-grid", "abc"], "ParameterError"),
+    (["simulate", "--family", "uniform:k=100", "--n-grid", "1,,2"], "ParameterError"),
+    (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "nan"], "ParameterError"),
+    (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "inf"], "ParameterError"),
+    (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "1e300"], "ParameterError"),
+    (["theory", "approx", "--degree", "3", "--a", "1", "--b", "inf"], "ParameterError"),
+    (["theory", "priors", "--order", "3", "--lam", "inf"], "ParameterError"),
+    (["theory", "certify", "--k", "nan", "--n", "10", "--epsilon", "0.2"], "ParameterError"),
+    (["theory", "certify", "--k", "1e6", "--n", "nan", "--epsilon", "0.2"], "ParameterError"),
+    (["theory", "maxcheb", "--beta", "nan", "--degree", "3"], "ParameterError"),
+    (["theory", "approx", "--degree", str(MAX_DEGREE + 1), "--a", "1", "--b", "30"],
+     "ParameterError"),
+    (["theory", "priors", "--order", str(MAX_DEGREE + 1), "--lam", "30"], "ParameterError"),
+    (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "0.1",
+      "--cutoff", str(MAX_TV_CUTOFF + 1)], "ParameterError"),
+    (["estimate", "--k", "0.5", "--estimator", "plugin"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
@@ -289,6 +313,19 @@ def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == error
+
+
+def test_estimate_on_empty_fingerprint_is_undefined(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no samples\n")
+    for name in ("wy", "gt", "cl1", "cl2", "et", "gtoulmin"):
+        code, _, err = run_cli(capsys, "estimate", "--fingerprint", str(path), "--k", "100",
+                               "--estimator", name)
+        assert code == 2
+        assert json.loads(err)["error"] == "UndefinedEstimatorError"
+    code, out, _ = run_cli(capsys, "estimate", "--fingerprint", str(path), "--k", "100",
+                           "--estimator", "plugin")
+    assert code == 0 and json.loads(out)["value"] == 0.0
 
 
 def test_estimate_degree_40_at_k_1e9(tmp_path, capsys):

@@ -97,7 +97,7 @@ def test_chao_lee_zero_cv_reduces_to_coverage_form():
 def test_chao_lee_undefined_and_preconditions():
     with pytest.raises(UndefinedEstimatorError):
         chao_lee(fp_of({1: 4}))
-    with pytest.raises(ParameterError):
+    with pytest.raises(UndefinedEstimatorError, match="n >= 2"):
         chao_lee(fp_of({1: 1}))  # n = 1 < 2
     with pytest.raises(ParameterError):
         chao_lee(fp_of({1: 2, 2: 1}), variant=3)
@@ -175,23 +175,21 @@ def test_chebyshev_estimate_basic_properties():
     fp = fp_of({1: 40, 2: 11, 3: 4, 9: 2})
     est = chebyshev_estimate(fp, k=5000)
     assert math.isfinite(est.value)
-    assert est.rounded == round(est.value)
-    assert est.estimator_name == "chebyshev"
     for key in ("n", "k", "L", "l", "r"):
         assert key in est.params
 
 
 def test_chebyshev_estimate_k_from_config():
+    # k is an argument only: the config has no k field
     fp = fp_of({1: 5, 2: 2})
-    by_arg = chebyshev_estimate(fp, k=1234.0)
-    by_cfg = chebyshev_estimate(fp, cfg=EstimatorConfig(k=1234.0))
-    assert by_arg.value == by_cfg.value
+    with pytest.raises(TypeError):
+        EstimatorConfig(k=1234.0)
     with pytest.raises(ParameterError, match="k"):
         chebyshev_estimate(fp)
 
 
 def test_chebyshev_estimate_needs_samples():
-    with pytest.raises(ParameterError):
+    with pytest.raises(UndefinedEstimatorError):
         chebyshev_estimate(Fingerprint(h={}, n=0), k=100)
 
 
@@ -228,7 +226,12 @@ def test_shakespeare_reproduction_exact():
 
 
 def test_estimator_config_validation():
-    for kwargs in ({"c0": 0.0}, {"c0": math.nan}, {"c1": math.inf}, {"k": 0.5},
-                   {"k": math.nan}, {"k": math.inf}):
+    for kwargs in ({"c0": 0.0}, {"c0": math.nan}, {"c1": math.inf}):
         with pytest.raises(ParameterError):
             EstimatorConfig(**kwargs)
+    # a given k is checked once for every token, whether or not it reads k
+    fp = fp_of({1: 2, 2: 1})
+    for token in ss.ESTIMATORS:
+        for k in (0.5, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="k must be"):
+                ss.run_estimator(token, fp, k)

@@ -12,6 +12,7 @@ import pytest
 from supportsize import (
     DiscreteDistribution,
     ParameterError,
+    ProbeResult,
     SweepRow,
     SweepSpec,
     make_uniform,
@@ -170,3 +171,55 @@ def test_probe_ceiling_report():
                                   trials=10, seed=1, ceiling=20)
     assert res.ceiling_reached
     assert res.n_star is None
+
+
+@pytest.mark.parametrize("estimator", ["cl1", "cl2"])
+def test_probe_chao_lee_finds_threshold(estimator):
+    # the search starts at n = 1, where Chao-Lee is undefined: a failure, not an error
+    res = probe_sample_complexity(make_uniform(100), estimator, 0.2, trials=10, seed=0)
+    assert not res.ceiling_reached
+    assert res.evaluations[0] == (1, 1.0)
+    assert 1 < res.n_star <= res.ceiling
+    assert res.failure_freq <= 0.1
+
+
+def test_run_sweep_counts_too_small_samples_as_undefined():
+    spec = SweepSpec(family=make_uniform(100), n_grid=[1, 5], trials=3,
+                     estimators=("cl1", "plugin"), seed=0)
+    rows = {(r.estimator, r.n): r for r in run_sweep(spec)}
+    assert rows["cl1", 1] == SweepRow("cl1", 1, None, None, None, 3, 3)
+    assert rows["cl1", 5].undefined_count < 3
+    assert rows["plugin", 1].mean_estimate == 1.0
+
+
+# Full results, evaluation by evaluation, of the three ways a probe ends:
+# every hop failing its verification, a verification that fails twice and
+# then passes, and the ceiling.  Any change to the search order shows here.
+def test_probe_every_hop_fails_verification():
+    res = probe_sample_complexity(make_uniform(100), "plugin", 0.05, delta=0.0, trials=5, seed=0)
+    assert res == ProbeResult("plugin", 0.05, 0.0, 100.0, None, None, None, None, 5, 4605, True, [
+        (1, 1.0), (2, 1.0), (4, 1.0), (8, 1.0), (16, 1.0), (32, 1.0), (64, 1.0), (128, 1.0),
+        (256, 0.8), (512, 0.0), (384, 0.0), (320, 0.0), (288, 0.6), (304, 0.4), (312, 0.4),
+        (316, 0.2), (318, 0.8), (319, 0.2), (320, 0.35), (336, 0.2), (672, 0.0), (504, 0.0),
+        (420, 0.0), (378, 0.0), (357, 0.2), (367, 0.0), (362, 0.2), (364, 0.2), (365, 0.0),
+        (365, 0.1), (383, 0.0), (374, 0.0), (369, 0.0), (367, 0.0), (366, 0.2), (367, 0.05),
+        (385, 0.0), (376, 0.0), (371, 0.0), (369, 0.0), (368, 0.2), (369, 0.2), (387, 0.0),
+        (378, 0.0), (373, 0.0), (371, 0.0), (370, 0.2), (371, 0.05), (389, 0.0), (380, 0.0),
+        (375, 0.0), (373, 0.0), (372, 0.2), (373, 0.05), (391, 0.0)])
+
+
+def test_probe_verification_fails_twice_then_passes():
+    res = probe_sample_complexity(make_uniform(100), "wy", 0.1, trials=10, seed=1)
+    assert res == ProbeResult(
+        "wy", 0.1, 0.1, 100.0, 220, 0.075, 0.025835556771858226, 0.19864530159097524,
+        10, 4605, False, [
+            (1, 1.0), (2, 1.0), (4, 1.0), (8, 1.0), (16, 1.0), (32, 1.0), (64, 0.7),
+            (128, 0.4), (256, 0.0), (192, 0.2), (224, 0.0), (208, 0.3), (216, 0.1), (212, 0.2),
+            (214, 0.1), (213, 0.0), (213, 0.15), (223, 0.1), (218, 0.0), (215, 0.0), (214, 0.1),
+            (214, 0.2), (224, 0.0), (219, 0.2), (221, 0.0), (220, 0.0), (220, 0.075)])
+
+
+def test_probe_ceiling_ends_the_search():
+    res = probe_sample_complexity(make_uniform(100), "wy", 0.1, trials=10, seed=1, ceiling=40)
+    assert res == ProbeResult("wy", 0.1, 0.1, 100.0, None, None, None, None, 10, 40, True, [
+        (1, 1.0), (2, 1.0), (4, 1.0), (8, 1.0), (16, 1.0), (32, 1.0)])

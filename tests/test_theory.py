@@ -201,6 +201,13 @@ def test_tv_bound_values():
     )
 
 
+def test_tv_bound_beyond_double_range_is_infinite():
+    # 2^(lam_max / (2 ln 2) - L) overflows a double; the form is then vacuous
+    b = tv_bound(1e4, 3)
+    assert b.full == math.inf
+    assert b.value == b.simplified == pytest.approx((math.e * 1e4 / 6.0) ** 3, rel=1e-12)
+
+
 def test_tv_bound_dominates_exact_tv():
     rng = np.random.default_rng(31)
     for _ in range(10):
