@@ -17,7 +17,8 @@ import numpy as np
 from . import theory
 from .chebyshev import g_table, shifted_coeffs
 from .errors import ParameterError, SupportSizeError
-from .estimators import DEFAULT_CONFIG, ESTIMATORS, EstimatorConfig, degree_params, run_estimator
+from .estimators import (DEFAULT_CONFIG, DEFAULT_J, DEFAULT_T, ESTIMATORS, EstimatorConfig,
+                         check_k, degree_params, run_estimator)
 from .ingest import (
     TokenizerConfig,
     _iter_decoded_lines,
@@ -34,7 +35,7 @@ from .sweep import (
     probe_sample_complexity,
     run_sweep,
 )
-from .synth import parse_family
+from .synth import SAMPLING_MODES, parse_family
 
 
 def _report_error(name: str, message: str, **extra) -> None:
@@ -59,13 +60,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, run, fmt: str = "json") -> None:
+    """Flags every command shares, and its defaults: ``run`` maps ``ns`` to records."""
     parser.add_argument("--seed", type=int, default=0, help="master seed for anything random")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
+    parser.add_argument("--format", choices=["csv", "json"],
                         help="output format (default: json for records, csv for tables)")
     parser.add_argument("--config", default=None,
                         help="optional key=value file; keys mirror long flag names")
+    parser.set_defaults(run=run, format=fmt, parser=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate support size from a token or fingerprint file")
-    _add_common(est)
+    _add_common(est, _cmd_estimate)
     src = est.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="text file of tokens (whitespace separated)")
     src.add_argument("--fingerprint", help="fingerprint file with 'j h_j' lines")
@@ -88,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
     est.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
     est.add_argument("--degree", type=int, default=None, help="override the polynomial degree L")
-    est.add_argument("--t", type=float, default=1.0, help="extrapolation ratio for et/gtoulmin")
-    est.add_argument("--J", type=int, default=10, help="series cutoff for the et estimator")
+    est.add_argument("--t", type=float, default=DEFAULT_T, help="extrapolation ratio for et/gtoulmin")
+    est.add_argument("--J", type=int, default=DEFAULT_J, help="series cutoff for the et estimator")
     est.add_argument("--clamp", action="store_true",
                      help="clamp the estimate into [plug-in count, k]")
     est.add_argument("--round", action="store_true", dest="round_output",
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep estimators over a synthetic family",
         epilog="CSV columns, in order: " + ", ".join(CSV_COLUMNS),
     )
-    _add_common(sim)
+    _add_common(sim, _cmd_simulate, "csv")
     sim.add_argument("--family", required=True,
                      help="uniform:k=..., zipf:k=...,alpha=..., or mixture:k=...")
     sim.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
@@ -114,22 +117,22 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-points", type=int, default=10)
     sim.add_argument("--trials", type=int, default=50)
     sim.add_argument("--estimators", default="wy,plugin,gt")
-    sim.add_argument("--sampling", choices=["iid", "poissonized"], default="iid")
+    sim.add_argument("--sampling", choices=SAMPLING_MODES, default="iid")
     sim.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
     sim.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
 
     prb = sub.add_parser("probe", help="empirical sample complexity at a target accuracy")
-    _add_common(prb)
+    _add_common(prb, _cmd_probe)
     prb.add_argument("--family", required=True)
     prb.add_argument("--estimator", choices=sorted(ESTIMATORS), default="wy")
     prb.add_argument("--epsilon", type=float, required=True)
     prb.add_argument("--delta", type=float, default=0.1)
     prb.add_argument("--trials", type=int, default=50)
     prb.add_argument("--ceiling", type=int, default=None)
-    prb.add_argument("--sampling", choices=["iid", "poissonized"], default="iid")
+    prb.add_argument("--sampling", choices=SAMPLING_MODES, default="iid")
 
     cfs = sub.add_parser("coeffs", help="dump the weight table (j, a_j, g_j), CSV by default")
-    _add_common(cfs)
+    _add_common(cfs, _cmd_coeffs, "csv")
     cfs.add_argument("--k", type=float, required=True)
     cfs.add_argument("--n", type=int, required=True)
     cfs.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
@@ -140,19 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     thysub = thy.add_subparsers(dest="action", required=True)
 
     ap = thysub.add_parser("approx", help="best polynomial approximation of 1/x on [a, b]")
-    _add_common(ap)
+    _add_common(ap, _cmd_theory)
     ap.add_argument("--degree", type=int, required=True)
     ap.add_argument("--a", type=float, required=True)
     ap.add_argument("--b", type=float, required=True)
 
     pr = thysub.add_parser("priors", help="moment-matched prior pair on {0} U [1+nu, lam]")
-    _add_common(pr)
+    _add_common(pr, _cmd_theory)
     pr.add_argument("--order", type=int, required=True, help="number of matched moments L")
     pr.add_argument("--nu", type=float, default=0.0)
     pr.add_argument("--lam", type=float, required=True)
 
     tv = thysub.add_parser("tv", help="certified TV between the pair's Poisson mixtures")
-    _add_common(tv)
+    _add_common(tv, _cmd_theory)
     tv.add_argument("--order", type=int, required=True)
     tv.add_argument("--nu", type=float, default=0.0)
     tv.add_argument("--lam", type=float, required=True)
@@ -160,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     tv.add_argument("--cutoff", type=int, default=None)
 
     ct = thysub.add_parser("certify", help="numeric sample-complexity lower-bound certificate")
-    _add_common(ct)
+    _add_common(ct, _cmd_theory)
     ct.add_argument("--k", type=float, required=True)
     ct.add_argument("--n", type=float, required=True)
     ct.add_argument("--epsilon", type=float, required=True)
@@ -172,20 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--gamma", type=float, default=2.4, help="recipe interval constant")
 
     mx = thysub.add_parser("maxcheb", help="maximize exp(-beta x) T_L(x) over x >= 1")
-    _add_common(mx)
+    _add_common(mx, _cmd_theory)
     mx.add_argument("--beta", type=float, required=True)
     mx.add_argument("--degree", type=int, required=True)
 
     return parser
-
-
-def _command_parser(parser: argparse.ArgumentParser, ns: argparse.Namespace):
-    """The invoked subcommand's (or theory action's) parser."""
-    while True:
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            return parser
-        parser = subs[0].choices[getattr(ns, subs[0].dest)]
 
 
 def _config_value(action: argparse.Action, value: str, where: str):
@@ -224,9 +218,9 @@ def _apply_config(
     given.  Values are typed and checked like the flag's own argument.  Flags
     argparse marks as required must still be given on the command line.
     """
-    if not getattr(ns, "config", None):
+    if not ns.config:
         return ns
-    command = _command_parser(parser, ns)
+    command = ns.parser
     actions = {action.dest: action for action in command._actions}
     for action in command._actions:
         for opt in action.option_strings:
@@ -257,10 +251,9 @@ def _open_output(path):
 
 
 def _write_records(records: list[dict], ns) -> None:
-    fmt = ns.format or "json"
     out, close = _open_output(ns.output)
     try:
-        if fmt == "json":
+        if ns.format == "json":
             for rec in records:
                 out.write(json.dumps(rec) + "\n")
         else:
@@ -274,8 +267,9 @@ def _write_records(records: list[dict], ns) -> None:
             out.close()
 
 
-def _cmd_estimate(ns) -> int:
+def _cmd_estimate(ns) -> list[dict]:
     cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
+    check_k(ns.k)
     if ns.fingerprint:
         fp = read_fingerprint_file(ns.fingerprint)
     else:
@@ -300,7 +294,7 @@ def _cmd_estimate(ns) -> int:
         value = min(max(value, float(fp.distinct)), ns.k)
     if ns.round_output:
         value = float(round(value))
-    record = {
+    return [{
         "estimator": name,
         "value": value,
         "rounded": round(value),
@@ -309,9 +303,7 @@ def _cmd_estimate(ns) -> int:
         "L": res.params.get("L"),
         "l": res.params.get("l"),
         "r": res.params.get("r"),
-    }
-    _write_records([record], ns)
-    return 0
+    }]
 
 
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
@@ -322,7 +314,7 @@ def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
     return grid
 
 
-def _cmd_simulate(ns) -> int:
+def _cmd_simulate(ns) -> list[dict]:
     family = parse_family(ns.family)
     if ns.n_grid:
         try:
@@ -341,13 +333,10 @@ def _cmd_simulate(ns) -> int:
         seed=ns.seed,
         sampling=ns.sampling,
     )
-    rows = run_sweep(spec, EstimatorConfig(c0=ns.c0, c1=ns.c1))
-    ns.format = ns.format or "csv"
-    _write_records([dataclasses.asdict(r) for r in rows], ns)
-    return 0
+    return [dataclasses.asdict(r) for r in run_sweep(spec, EstimatorConfig(c0=ns.c0, c1=ns.c1))]
 
 
-def _cmd_probe(ns) -> int:
+def _cmd_probe(ns) -> list[dict]:
     family = parse_family(ns.family)
     res = probe_sample_complexity(
         family, ns.estimator, ns.epsilon,
@@ -356,21 +345,18 @@ def _cmd_probe(ns) -> int:
     )
     rec = dataclasses.asdict(res)
     rec["evaluations"] = rec["evaluations"][-12:]  # keep the record short
-    _write_records([rec], ns)
-    return 0
+    return [rec]
 
 
-def _cmd_coeffs(ns) -> int:
+def _cmd_coeffs(ns) -> list[dict]:
     cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
     L, l, r = degree_params(ns.k, ns.n, cfg)
     a = shifted_coeffs(L, l, r)
     g = g_table(L, l, r, ns.n).g
-    ns.format = ns.format or "csv"
-    _write_records([{"j": j, "a_j": float(a[j]), "g_j": float(g[j])} for j in range(L + 1)], ns)
-    return 0
+    return [{"j": j, "a_j": float(a[j]), "g_j": float(g[j])} for j in range(L + 1)]
 
 
-def _cmd_theory(ns) -> int:
+def _cmd_theory(ns) -> list[dict]:
     if ns.action == "approx":
         res = theory.best_inv_approx(ns.degree, ns.a, ns.b)
         rec = {
@@ -409,21 +395,13 @@ def _cmd_theory(ns) -> int:
             ns.k, ns.n, ns.epsilon,
             L=params["L"], lam=params["lam"], nu=params["nu"], alpha=params["alpha"],
         )
-        rec = {
-            "k": ns.k, "n": ns.n, "epsilon": ns.epsilon, **params,
-            "valid": cert.valid, "lhs": cert.lhs, "gap": cert.gap,
-            "implied_epsilon": cert.implied_epsilon, "meets_target": cert.meets_target,
-            "terms": list(cert.terms),
-        }
+        # asdict keeps terms a tuple; a list writes the CSV cell as [a, b, c]
+        rec = {"k": ns.k, "n": ns.n, "epsilon": ns.epsilon, **params,
+               **dataclasses.asdict(cert), "terms": list(cert.terms)}
     else:  # maxcheb
         res = theory.max_exp_cheby(ns.beta, ns.degree)
-        rec = {
-            "beta": ns.beta, "L": ns.degree,
-            "x_star": res.x_star, "value": res.value,
-            "log_value": res.log_value, "residual": res.residual,
-        }
-    _write_records([rec], ns)
-    return 0
+        rec = {"beta": ns.beta, "L": ns.degree, **dataclasses.asdict(res)}
+    return [rec]
 
 
 def main(argv=None) -> int:
@@ -431,15 +409,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         ns = _apply_config(parser, ns, argv)
-        if ns.command == "estimate":
-            return _cmd_estimate(ns)
-        if ns.command == "simulate":
-            return _cmd_simulate(ns)
-        if ns.command == "probe":
-            return _cmd_probe(ns)
-        if ns.command == "coeffs":
-            return _cmd_coeffs(ns)
-        return _cmd_theory(ns)
+        _write_records(ns.run(ns), ns)
+        return 0
     except SupportSizeError as exc:
         _report_error(type(exc).__name__, str(exc))
         return 2

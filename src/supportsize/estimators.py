@@ -43,6 +43,9 @@ class EstimatorConfig:
 
 
 DEFAULT_CONFIG = EstimatorConfig()
+# Extrapolation ratio t (et, gtoulmin) and series cutoff J (et) when none is given.
+DEFAULT_T = 1.0
+DEFAULT_J = 10
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def chao_lee(fp: Fingerprint, variant: int = 1) -> Estimate:
     return Estimate.of(value, n=n, coverage=c, cv_sq=gamma_sq)
 
 
-def efron_thisted(fp: Fingerprint, t: float = 1.0, J: int = 10) -> Estimate:
+def efron_thisted(fp: Fingerprint, t: float = DEFAULT_T, J: int = DEFAULT_J) -> Estimate:
     """Binomial-smoothed series estimator (Efron & Thisted 1976).
 
     value = plug_in + sum_{j=1..J} (-1)^(j+1) t^j b_j h_j with
@@ -190,7 +193,7 @@ def efron_thisted(fp: Fingerprint, t: float = 1.0, J: int = 10) -> Estimate:
     return Estimate.of(value, n=fp.n, t=t, J=J)
 
 
-def good_toulmin(fp: Fingerprint, t: float = 1.0) -> Estimate:
+def good_toulmin(fp: Fingerprint, t: float = DEFAULT_T) -> Estimate:
     """Unsmoothed extrapolation series: plug_in + sum_j (-1)^(j+1) t^j h_j (Good & Toulmin 1956)."""
     if not 0 < t < math.inf:
         raise ParameterError(f"t must be finite and > 0, got {t}")
@@ -213,17 +216,23 @@ ESTIMATORS = {
 }
 
 
+def check_k(k: float) -> None:
+    """Every estimator's rule for a given ``k``: finite and >= 1."""
+    if not 1 <= k < math.inf:
+        raise ParameterError(f"k must be finite and >= 1, got {k}")
+
+
 def run_estimator(
     token: str,
     fp: Fingerprint,
     k: Optional[float] = None,
     cfg: EstimatorConfig = DEFAULT_CONFIG,
-    t: float = 1.0,
-    J: int = 10,
+    t: float = DEFAULT_T,
+    J: int = DEFAULT_J,
 ) -> Estimate:
     """Run the estimator registered under ``token`` in ``ESTIMATORS``; a given ``k`` is checked."""
     if token not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {token!r}; choose from {sorted(ESTIMATORS)}")
-    if k is not None and not 1 <= k < math.inf:
-        raise ParameterError(f"k must be finite and >= 1, got {k}")
+    if k is not None:
+        check_k(k)
     return ESTIMATORS[token](fp, k, cfg, t, J)

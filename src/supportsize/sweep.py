@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError, UndefinedEstimatorError
 from .estimators import ESTIMATORS, DEFAULT_CONFIG, EstimatorConfig, run_estimator
 from .ingest import Fingerprint
-from .synth import DiscreteDistribution, effective_k, sample_fingerprint
+from .synth import DiscreteDistribution, check_sampling, effective_k, sample_fingerprint
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -37,8 +37,7 @@ class SweepSpec:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
             raise ParameterError("estimators must be nonempty")
-        if self.sampling not in ("iid", "poissonized"):
-            raise ParameterError(f"sampling must be iid or poissonized, got {self.sampling!r}")
+        check_sampling(self.sampling)
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ParameterError(f"unknown estimators {unknown}; choose from {sorted(ESTIMATORS)}")
@@ -163,6 +162,7 @@ def probe_sample_complexity(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not 0 <= delta < 1:
         raise ParameterError(f"delta must be in [0, 1), got {delta}")
+    check_sampling(sampling)
     k = effective_k(family)
     if epsilon >= 0.5:
         return ProbeResult(estimator, epsilon, delta, k, 0, None, None, None,

@@ -21,6 +21,9 @@ from .ingest import Fingerprint, fingerprint_from_counts
 # 0.9 GB, and 1e12 would need terabytes.
 MAX_FAMILY_SIZE = 10**7
 
+# How a sample of size n is drawn: a multinomial(n) sample, or independent Poi(n p_i) counts.
+SAMPLING_MODES = ("iid", "poissonized")
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
@@ -136,6 +139,11 @@ class _AliasTable:
         return np.where(keep, idx, self.alias[idx])
 
 
+def check_sampling(sampling: str) -> None:
+    if sampling not in SAMPLING_MODES:
+        raise ParameterError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
+
+
 def draw_counts(
     dist: DiscreteDistribution,
     n: int,
@@ -145,15 +153,14 @@ def draw_counts(
     """Count vector of one sample: multinomial(n) via alias draws, or independent Poi(n p_i)."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    k = dist.support_size
-    if sampling == "iid":
-        if n == 0:
-            return np.zeros(k, dtype=np.int64)
-        symbols = dist._alias().draw(rng, n)
-        return np.bincount(symbols, minlength=k)
+    check_sampling(sampling)
     if sampling == "poissonized":
         return rng.poisson(n * dist.masses)
-    raise ParameterError(f"sampling must be 'iid' or 'poissonized', got {sampling!r}")
+    k = dist.support_size
+    if n == 0:
+        return np.zeros(k, dtype=np.int64)
+    symbols = dist._alias().draw(rng, n)
+    return np.bincount(symbols, minlength=k)
 
 
 def sample_fingerprint(

@@ -299,11 +299,14 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "0.1",
       "--cutoff", str(MAX_TV_CUTOFF + 1)], "ParameterError"),
     (["estimate", "--k", "0.5", "--estimator", "plugin"], "ParameterError"),
+    # k is checked before the input is opened, so a missing file is not reached
+    (["estimate", "--input", "/nonexistent/doc.txt", "--k", "0.5"], "ParameterError"),
+    (["estimate", "--fingerprint", "/nonexistent/fp.txt", "--k", "0.5"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
     write_fingerprint_file(Fingerprint(h={1100: 1}, n=1100), path)
-    if argv[0] == "estimate":
+    if argv[0] == "estimate" and not {"--input", "--fingerprint"} & set(argv):
         argv = argv + ["--fingerprint", str(path)]
     try:
         code = main(argv)
@@ -313,6 +316,46 @@ def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == error
+
+
+def test_default_format_per_command_and_its_overrides(tmp_path, capsys):
+    def first_line(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return out.splitlines()[0]
+
+    fp = tmp_path / "fp.txt"
+    write_fingerprint_file(Fingerprint(h={1: 3, 2: 1}, n=5), fp)
+    commands = {
+        ("estimate", "--fingerprint", str(fp), "--k", "100"): "json",
+        ("probe", "--family", "uniform:k=100", "--epsilon", "0.5"): "json",
+        ("theory", "maxcheb", "--beta", "3", "--degree", "6"): "json",
+        ("simulate", "--family", "uniform:k=40", "--n-grid", "30", "--trials", "2",
+         "--estimators", "plugin"): "csv",
+        ("coeffs", "--k", "1e6", "--n", "200000"): "csv",
+    }
+    for argv, default in commands.items():
+        assert first_line(*argv).startswith("{") == (default == "json"), argv
+        assert first_line(*argv, "--format", "json").startswith("{")
+        assert not first_line(*argv, "--format", "csv").startswith("{")
+    # a config key sets the format like any other default; an explicit flag beats it
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("format=json\n")
+    sim = ("simulate", "--family", "uniform:k=40", "--n-grid", "30", "--trials", "2",
+           "--estimators", "plugin", "--config", str(cfg))
+    assert json.loads(first_line(*sim))["estimator"] == "plugin"
+    assert first_line(*sim, "--format", "csv") == ",".join(CSV_COLUMNS)
+
+
+def test_theory_certify_csv_writes_terms_as_a_list(capsys):
+    argv = ("theory", "certify", "--k", "1e6", "--n", "3000", "--epsilon", "0.15")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    csv_rec = next(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run_cli(capsys, *argv)
+    terms = json.loads(out)["terms"]
+    assert len(terms) == 3
+    assert csv_rec["terms"] == str(terms)  # "[a, b, c]", not a tuple's "(a, b, c)"
 
 
 def test_estimate_on_empty_fingerprint_is_undefined(tmp_path, capsys):

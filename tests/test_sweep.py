@@ -147,6 +147,9 @@ def test_wilson_interval_sanity():
 def test_probe_trivial_epsilon():
     res = probe_sample_complexity(make_uniform(100), "plugin", 0.5, seed=0)
     assert res.n_star == 0
+    # the arguments are checked before the trivial answer, sampling among them
+    with pytest.raises(ParameterError, match="sampling"):
+        probe_sample_complexity(make_uniform(10), "wy", 0.6, sampling="bogus")
 
 
 def test_probe_epsilon_below_resolution():
