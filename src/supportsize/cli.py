@@ -228,18 +228,24 @@ def _apply_config(
                 actions[opt[2:].replace("-", "_")] = action
     exclusive = {a for group in command._mutually_exclusive_groups for a in group._group_actions}
     typed = {}
-    with open(ns.config, "r", encoding="utf-8") as fh:
+    # an invalid byte decodes to a lone surrogate, which cannot be encoded back
+    with open(ns.config, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{ns.config}:{lineno}"
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParameterError(f"{where}: invalid utf-8 byte") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, val = line.partition("=")
             if not sep:
-                raise ParameterError(f"{ns.config}:{lineno}: expected key=value, got {line!r}")
+                raise ParameterError(f"{where}: expected key=value, got {line!r}")
             action = actions.get(key.strip().replace("-", "_"))
             if action is None or action in exclusive or action.default is argparse.SUPPRESS:
                 continue
-            typed[action.dest] = _config_value(action, val.strip(), f"{ns.config}:{lineno}")
+            typed[action.dest] = _config_value(action, val.strip(), where)
     command.set_defaults(**typed)
     return parser.parse_args(argv)
 

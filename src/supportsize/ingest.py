@@ -196,13 +196,16 @@ def read_fingerprint_file(path) -> Fingerprint:
 
     One ``j h_j`` pair per line (ASCII decimal, whitespace separated), ``j``
     strictly increasing, ``h_j >= 1``.  Lines starting with ``#`` and blank
-    lines are ignored.  Malformed content raises
+    lines are ignored.  Malformed content, a non-ASCII byte included, raises
     :class:`FingerprintFormatError` with the offending line number.
     """
     h: dict[int, int] = {}
     prev_j = 0
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII decodes to a lone surrogate, so it is caught with its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise FingerprintFormatError(f"{path}:{lineno}: non-ASCII byte", line_number=lineno)
             body = line.strip()
             if not body or body.startswith("#"):
                 continue

@@ -21,6 +21,13 @@ from .ingest import Fingerprint, fingerprint_from_counts
 # 0.9 GB, and 1e12 would need terabytes.
 MAX_FAMILY_SIZE = 10**7
 
+# Largest n of a Poissonized sample: numpy's Generator.poisson rejects means above
+# about 9.22e18, and a fingerprint counts its samples in int64 (below 9.22e18).
+_MAX_POISSON_N = 9.2e18
+
+# Arguments each family takes.
+_FAMILY_KEYS = {"uniform": ("k",), "zipf": ("k", "alpha"), "mixture": ("k",)}
+
 # How a sample of size n is drawn: a multinomial(n) sample, or independent Poi(n p_i) counts.
 SAMPLING_MODES = ("iid", "poissonized")
 
@@ -155,6 +162,8 @@ def draw_counts(
         raise ParameterError(f"n must be >= 0, got {n}")
     check_sampling(sampling)
     if sampling == "poissonized":
+        if n > _MAX_POISSON_N:  # an int n compares exactly, however large
+            raise ParameterError(f"a Poissonized sample needs n <= {_MAX_POISSON_N:.3g}, got {n}")
         return rng.poisson(n * dist.masses)
     k = dist.support_size
     if n == 0:
@@ -171,17 +180,26 @@ def sample_fingerprint(
 
 
 def parse_family(spec: str) -> DiscreteDistribution:
-    """Parse 'uniform:k=100', 'zipf:k=100,alpha=1', 'mixture:k=50'."""
+    """Parse 'uniform:k=100', 'zipf:k=100,alpha=1', 'mixture:k=50'.
+
+    A key the family does not take, or a repeated key, is a ParameterError.
+    """
     name, _, argstr = spec.partition(":")
+    if name not in _FAMILY_KEYS:
+        raise ParameterError(f"unknown family {name!r}; expected uniform, zipf or mixture")
     args = {}
     if argstr:
         for part in argstr.split(","):
             key, _, val = part.partition("=")
+            key = key.strip()
             if not val:
                 raise ParameterError(f"bad family argument {part!r} in {spec!r}")
-            args[key.strip()] = val.strip()
-    if name not in ("uniform", "zipf", "mixture"):
-        raise ParameterError(f"unknown family {name!r}; expected uniform, zipf or mixture")
+            if key not in _FAMILY_KEYS[name]:
+                raise ParameterError(f"family {name!r} takes {', '.join(_FAMILY_KEYS[name])}, "
+                                     f"not {key!r}")
+            if key in args:
+                raise ParameterError(f"family argument {key!r} repeats in {spec!r}")
+            args[key] = val.strip()
     try:
         k = int(args["k"])
         alpha = float(args.get("alpha", 1.0))

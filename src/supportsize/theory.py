@@ -83,6 +83,8 @@ def best_inv_approx(degree: int, a: float, b: float) -> ApproxResult:
     m = degree + 2
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     x = mid - half * np.cos(np.pi * np.arange(m) / (m - 1))  # reference, ascending in [a, b]
+    if x[0] <= 0.0:  # a is below the rounding unit of b
+        raise ParameterError(f"[{a}, {b}] is too wide for doubles: need b/a below about 2^53")
     signs = (-1.0) ** np.arange(m)
     best_gap = math.inf
     stalled = 0
@@ -90,11 +92,11 @@ def best_inv_approx(degree: int, a: float, b: float) -> ApproxResult:
         system = np.hstack([_cheb.chebvander((x - mid) / half, degree), signs[:, None]])
         try:
             sol = np.linalg.solve(system, 1.0 / x)
+            series = _cheb.Chebyshev(sol[:-1], domain=[a, b])
+            x = _alternating_extrema(series, m)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Remez system on [{a}, {b}], degree {degree}") from exc
-        coef, level = sol[:-1], sol[-1]
-        series = _cheb.Chebyshev(coef, domain=[a, b])
-        x = _alternating_extrema(series, m)
+            raise SolverError(f"Remez step failed on [{a}, {b}], degree {degree}: {exc}") from exc
+        level = sol[-1]
         dev = np.abs(1.0 / x - series(x))
         # residual evaluation carries ~eps/a of absolute noise, so narrow
         # intervals (tiny errors) stall there instead of reaching _REMEZ_TOL; a
@@ -157,17 +159,11 @@ def primal_value(L: int, a: float, b: float, grid_size: int) -> float:
     if grid_size < L + 2:
         raise ParameterError(f"grid_size must be >= L+2 = {L + 2}, got {grid_size}")
     xs = np.linspace(a, b, grid_size)
-    t = (2.0 * xs - a - b) / (b - a)
-    basis = _cheb.chebvander(t, max(L, 0))
-    rows = [
-        np.concatenate([np.ones(grid_size), np.zeros(grid_size)]),
-        np.concatenate([np.zeros(grid_size), np.ones(grid_size)]),
-    ]
-    for j in range(1, L + 1):
-        rows.append(np.concatenate([basis[:, j], -basis[:, j]]))
-    a_eq = np.vstack(rows)
-    b_eq = np.zeros(len(rows))
-    b_eq[0] = b_eq[1] = 1.0
+    # rows: each vector sums to 1, then moments 1..L agree
+    moments = _cheb.chebvander((2.0 * xs - a - b) / (b - a), L)[:, 1:].T
+    a_eq = np.vstack([np.kron(np.eye(2), np.ones(grid_size)), np.hstack([moments, -moments])])
+    b_eq = np.zeros(L + 2)
+    b_eq[:2] = 1.0
     cost = np.concatenate([-1.0 / xs, 1.0 / xs])
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
@@ -237,8 +233,8 @@ def construct_prior_pair(L: int, nu: float, lam: float) -> PriorPair:
         raise ParameterError(f"need 1 <= L <= {MAX_DEGREE}, got {L}")
     a, b = 1.0 + nu, lam
     approx = best_inv_approx(L - 1, a, b)
-    x = np.sort(approx.extrema)
-    spacing = np.diff(x).min() if x.size > 1 else 1.0
+    x = approx.extrema  # L + 1 >= 2 points, ascending
+    spacing = np.diff(x).min()
     if spacing <= 1e-12 * (b - a):
         raise SolverError(
             f"equioscillation extrema nearly coincide (min spacing {spacing:.3e}); "
@@ -365,6 +361,11 @@ def _pow(base: float, exponent: float) -> float:
         return math.inf
 
 
+def _over(num: float, den: float) -> float:
+    """num / den for num > 0 and den >= 0, or inf where den underflowed to 0."""
+    return num / den if den else math.inf
+
+
 def tv_bound(lam_max: float, L: int) -> TvBound:
     """Upper bound on the TV between Poisson mixtures of variables on [0, lam_max]
     sharing their first L moments."""
@@ -414,9 +415,10 @@ def lecam_certificate(
                              f"got k={k}, n={n}, epsilon={epsilon}")
     pair = construct_prior_pair(L, nu, lam)
     d = pair.gap
-    t1 = 2.0 * lam / (k * nu**2)
-    t2 = 2.0 / (k * alpha**2 * d**2)
-    t3 = k * (math.e * n * lam / (2.0 * k * L)) ** L
+    # a term beyond the double range is inf: nu^2 or alpha^2 d^2 may underflow to 0
+    t1 = _over(2.0 * lam, k * nu**2)
+    t2 = _over(2.0, k * alpha**2 * d**2)
+    t3 = k * _pow(math.e * n * lam / (2.0 * k * L), L)
     lhs = t1 + t2 + t3
     implied = (1.0 - 2.0 * alpha) * d / 2.0
     return LeCamCertificate(
@@ -465,36 +467,27 @@ class ExpChebMax:
 def max_exp_cheby(beta: float, L: int) -> ExpChebMax:
     """Maximize exp(-beta x) T_L(x) over x >= 1.
 
-    In y = arccosh(x) the stationarity condition reads
-    tanh(L y)/sinh(y) = beta/L; the left side decreases strictly from L to 0,
-    so the root is found by bisection after doubling out a bracket.  For
-    beta >= L^2 the function is decreasing on all of [1, inf) and the
-    maximum sits at the boundary x = 1.
+    In y = arccosh(x) the stationarity condition reads tanh(L y)/sinh(y) =
+    beta/L; the left side falls strictly from L to 0 and, as tanh <= 1, is
+    below beta/L at y = asinh(2L/beta).  The root is bisected on that bracket
+    until its ends are adjacent doubles.  For beta >= L^2 the maximum sits at
+    x = 1.  The maximizer is near L/beta, so beta/L must be >= 2^-1022.
     """
     if not 0 < beta < math.inf:
         raise ParameterError(f"beta must be finite and > 0, got {beta}")
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
+    if not 1 <= L < 2**1024:  # L converts to a double
+        raise ParameterError(f"L must be in [1, 2^1024), got {L}")
     target = beta / L
+    if target < 2.0**-1022:  # the smallest normal double; x* near L/beta stays finite
+        raise ParameterError(f"need beta/L >= 2^-1022, got beta={beta}, L={L}")
     if target >= L:
         return ExpChebMax(x_star=1.0, value=math.exp(-beta), log_value=-beta, residual=0.0)
-
-    def g(y: float) -> float:
-        return math.tanh(L * y) / math.sinh(y)
-
-    lo = 1e-12
-    hi = 1.0
-    while g(hi) > target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > target:
-            lo = mid
+    lo, hi = 0.0, math.asinh(2.0 * L / beta)
+    while lo < (y := 0.5 * (lo + hi)) < hi:
+        if math.tanh(L * y) > target * math.sinh(y):
+            lo = y
         else:
-            hi = mid
-        if hi - lo <= 1e-17 * hi:
-            break
-    y = 0.5 * (lo + hi)
+            hi = y
     x_star = math.cosh(y)
     # log cosh(L y) = L y + log((1 + exp(-2 L y))/2), overflow-safe
     log_tl = L * y + math.log1p(math.exp(-2.0 * L * y)) - math.log(2.0)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -298,6 +299,18 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     (["theory", "priors", "--order", str(MAX_DEGREE + 1), "--lam", "30"], "ParameterError"),
     (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "0.1",
       "--cutoff", str(MAX_TV_CUTOFF + 1)], "ParameterError"),
+    (["theory", "approx", "--degree", "3", "--a", "1", "--b", "1e17"], "ParameterError"),
+    (["theory", "priors", "--order", "3", "--lam", "1e17"], "ParameterError"),
+    (["theory", "priors", "--order", "3", "--nu", "1e200", "--lam", "1e201"], "SolverError"),
+    (["theory", "maxcheb", "--beta", "1e-307", "--degree", "100"], "ParameterError"),
+    (["theory", "maxcheb", "--beta", "5e-324", "--degree", "1"], "ParameterError"),
+    (["theory", "maxcheb", "--beta", "3", "--degree", "1" + "0" * 400], "ParameterError"),
+    *[(["simulate", "--family", family, "--n-grid", "50", "--trials", "3",
+        "--estimators", "plugin"], "ParameterError")
+      for family in ("zipf:k=100,alfa=2", "uniform:k=100,alpha=2", "uniform:k=100,k=5")],
+    *[(["simulate", "--family", "uniform:k=10", "--n-grid", n, "--trials", "1",
+        "--sampling", "poissonized", "--estimators", "plugin"], "ParameterError")
+      for n in ("100000000000000000000", "1" + "0" * 400)],
     (["estimate", "--k", "0.5", "--estimator", "plugin"], "ParameterError"),
     # k is checked before the input is opened, so a missing file is not reached
     (["estimate", "--input", "/nonexistent/doc.txt", "--k", "0.5"], "ParameterError"),
@@ -457,3 +470,58 @@ def test_fingerprint_format_error_is_domain_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", "--fingerprint", str(bad), "--k", "100")
     assert code == 2
     assert json.loads(err)["error"] == "FingerprintFormatError"
+
+
+def test_theory_certify_explicit_parameters_json_and_csv(capsys):
+    argv = ("theory", "certify", "--k", "1e6", "--n", "3000", "--epsilon", "0.15",
+            "--order", "3", "--lam", "10", "--nu", "0.5", "--alpha", "0.1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["L"], rec["lam"], rec["nu"], rec["alpha"]) == (3, 10.0, 0.5, 0.1)
+    assert rec["valid"] is False
+    assert rec["gap"] == 0.11053149862320638
+    assert rec["lhs"] == 2.527142462162036
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["valid"] == "False"
+    assert float(row["gap"]) == rec["gap"] and float(row["lhs"]) == rec["lhs"]
+    assert row["terms"] == str(rec["terms"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "certify", "--k", "1e6", "--n", "1e300", "--epsilon", "0.15"],
+    ["theory", "certify", "--k", "1e6", "--n", "3000", "--epsilon", "0.15", "--order", "3",
+     "--lam", "10", "--nu", "1e-200", "--alpha", "0.1"],
+    ["theory", "certify", "--k", "1e6", "--n", "3000", "--epsilon", "0.15", "--order", "3",
+     "--lam", "10", "--nu", "0.5", "--alpha", "1e-200"],
+    ["theory", "maxcheb", "--beta", "1e-300", "--degree", "5"],
+])
+def test_values_beyond_double_range_read_infinity(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "Infinity" in out and "NaN" not in out
+    rec = json.loads(out)
+    if argv[1] == "certify":  # the term that left the double range fails the check
+        assert math.inf in rec["terms"] and rec["valid"] is False
+
+
+def test_bad_bytes_in_input_files_name_their_line(tmp_path, capsys):
+    fp = tmp_path / "fp.txt"
+    fp.write_bytes("1 3\n2 é\n".encode("utf-8"))
+    code, _, err = run_cli(capsys, "estimate", "--fingerprint", str(fp), "--k", "1e6")
+    assert code == 2
+    rec = json.loads(err)
+    assert rec["error"] == "FingerprintFormatError" and rec["message"].startswith(f"{fp}:2: ")
+    cfg = tmp_path / "run.conf"
+    cfg.write_bytes(b"trials=3\nseed=\xff\n")
+    code, _, err = run_cli(capsys, "simulate", "--family", "uniform:k=40", "--n-grid", "30",
+                           "--config", str(cfg))
+    assert code == 2
+    rec = json.loads(err)
+    assert rec["error"] == "ParameterError" and rec["message"].startswith(f"{cfg}:2: ")
+    cfg.write_text("# café\ntrials=2\nestimators=plugin\n", encoding="utf-8")  # valid UTF-8
+    code, out, _ = run_cli(capsys, "simulate", "--family", "uniform:k=40", "--n-grid", "30",
+                           "--config", str(cfg))
+    assert code == 0 and next(csv.DictReader(io.StringIO(out)))["trials"] == "2"

@@ -231,3 +231,16 @@ def test_single_pass_pipeline_over_stream():
     assert fp.n == 1000
     assert fp.distinct == 37
     assert sum(j * c for j, c in fp.items()) == 1000
+
+
+@pytest.mark.parametrize("content,lineno", [
+    ("1 3\n2 é\n".encode("utf-8"), 2),
+    (b"1 3\n\xff 1\n", 2),
+    ("# café\n1 3\n".encode("utf-8"), 1),
+])
+def test_fingerprint_file_non_ascii_byte_names_its_line(tmp_path, content, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(FingerprintFormatError, match="non-ASCII") as err:
+        read_fingerprint_file(path)
+    assert err.value.line_number == lineno

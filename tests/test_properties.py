@@ -165,8 +165,8 @@ def test_registry_is_permutation_and_label_invariant(counts, data, k):
 
 
 # small enough that every valid combination runs in milliseconds (c0 <= 3
-# keeps the degree L = floor(c0 ln k) <= 41 at k = 1e6)
-NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e400", "0.5", "1", "2", "3"]
+# keeps the degree L = floor(c0 ln k) <= 41 at k = 1e6); 1e-200 squares to 0
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-200", "0.5", "1", "2", "3"]
 K_VALUES = NUMBERS + ["50", "1e6"]
 FAMILIES = st.builds("{}:k={}".format, st.sampled_from(["uniform", "mixture"]),
                      st.sampled_from(NUMBERS + ["50"])) | st.builds(
@@ -234,7 +234,17 @@ def theory_commands():
         lambda k, n, rest: ["theory", "certify", "--k", k, "--n", n, "--epsilon", "0.2", *rest],
         st.sampled_from(K_VALUES), num,
         flags(["epsilon", "order", "lam", "nu", "alpha", "c0", "gamma"]))
-    return approx | priors | tv | maxcheb | certify
+    # the explicit route takes --order, --lam, --nu and --alpha together; drawn
+    # from NUMBERS all four are in range about once in a thousand draws, so each
+    # flag here takes one value in range and one edge (out of range, or one that
+    # overflows or underflows a term of the certificate)
+    explicit = st.builds(
+        lambda k, n, L, lam, nu, alpha: ["theory", "certify", "--k", k, "--n", n,
+                                         "--epsilon", "0.2", "--order", L, "--lam", lam,
+                                         "--nu", nu, "--alpha", alpha],
+        *(st.sampled_from(pool) for pool in (["1e6", "nan"], ["3000", "1e300"], ["3", "0"],
+                                             ["10", "1e17"], ["0.5", "1e-200"], ["0.1", "1e-200"])))
+    return approx | priors | tv | maxcheb | certify | explicit
 
 
 def run_main(argv):

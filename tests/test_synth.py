@@ -143,6 +143,11 @@ def test_draw_counts_validation():
         draw_counts(d, -1, rng)
     with pytest.raises(ParameterError):
         draw_counts(d, 10, rng, sampling="bogus")
+    # numpy's Poisson sampler stops near a mean of 9.22e18; an int n of any size is checked
+    for n in (10**20, 10**400):
+        with pytest.raises(ParameterError, match="Poissonized"):
+            draw_counts(d, n, rng, sampling="poissonized")
+    assert draw_counts(d, 9_200_000_000_000_000_000, rng, sampling="poissonized").size == 4
 
 
 def test_alias_draws_match_masses():
@@ -167,5 +172,10 @@ def test_parse_family():
         parse_family("zipf:k")
     for spec in ("uniform:k=nan", "uniform:k=inf", "mixture:k=1e400", "zipf:k=5,alpha=x",
                  "zipf:k=2,alpha=nan", "zipf:k=5,alpha=inf"):
+        with pytest.raises(ParameterError):
+            parse_family(spec)
+    # a key the family does not take, or a repeated one, is not silently dropped
+    for spec in ("zipf:k=100,alfa=2", "uniform:k=100,alpha=2", "mixture:k=8,alpha=1",
+                 "uniform:k=100,k=5", "zipf:k=5,alpha=1,alpha=2"):
         with pytest.raises(ParameterError):
             parse_family(spec)

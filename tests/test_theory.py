@@ -291,3 +291,74 @@ def test_rate_envelope_values_and_monotonicity():
     ns = np.linspace(0, 20 * k, 200)
     vals = [rate_envelope(k, n) for n in ns]
     assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+def test_max_exp_cheby_stationarity_across_degrees_and_beta():
+    # both terms of (L/beta) tanh(L y) = sinh(y) are at most L/beta, and
+    # bisection to adjacent doubles leaves a residual of a few ulps of that
+    for L in (1, 2, 3, 5, 12, 40, 100, 200):
+        x_prev = math.inf
+        for beta in np.geomspace(1e-9, L * L * (1 - 1e-12), 30):
+            res = max_exp_cheby(float(beta), L)
+            assert res.residual <= 1e-13 * (L / beta), (beta, L)
+            assert 1.0 <= res.x_star < x_prev, (beta, L)  # the maximizer moves in as beta grows
+            x_prev = res.x_star
+        assert max_exp_cheby(float(L * L), L).x_star == 1.0
+
+
+@pytest.mark.parametrize("beta,L", [(1e-300, 5), (2.0**-1022, 1), (100 * 2.0**-1022, 100),
+                                    (1e-307, 100), (5e-324, 1), (5e-324, 5)])
+def test_max_exp_cheby_tiny_beta_is_a_record_or_a_parameter_error(beta, L):
+    # below beta/L = 2^-1022 the maximizer near L/beta leaves the double range
+    if beta / L < 2.0**-1022:
+        with pytest.raises(ParameterError):
+            max_exp_cheby(beta, L)
+        return
+    res = max_exp_cheby(beta, L)
+    assert math.isfinite(res.x_star) and res.x_star > 1.0
+    assert not any(math.isnan(v) for v in (res.x_star, res.value, res.log_value, res.residual))
+    # x* = L/beta, so log(exp(-beta x*) T_L(x*)) = -L + L log(2L/beta) - log 2
+    assert res.log_value == pytest.approx(L * math.log(2 * L / (math.e * beta)) - math.log(2),
+                                          rel=1e-12)
+
+
+def test_remez_failures_are_domain_errors():
+    # at b/a = 1e17 the Chebyshev reference loses a next to b
+    with pytest.raises(ParameterError, match="too wide"):
+        best_inv_approx(3, 1.0, 1e17)
+    with pytest.raises(ParameterError, match="too wide"):
+        construct_prior_pair(3, 0.0, 1e17)
+    # on [1e200, 1e201] x^2 p'(x) + 1 overflows, so the extrema's eigenvalue solve fails
+    for degree in (0, 2):
+        with pytest.raises(SolverError, match="Remez step failed"):
+            best_inv_approx(degree, 1e200, 1e201)
+
+
+def test_lecam_certificate_terms_beyond_double_range_are_infinite():
+    k, eps = 10**6, 0.15
+    cert = lecam_certificate(k, 1e300, eps, **lecam_recipe(k, eps))  # (e n lam / 2kL)^L
+    assert cert.terms[2] == math.inf and cert.lhs == math.inf and not cert.valid
+    for nu, alpha, inf_term in [(1e-200, 0.1, 0), (0.5, 1e-200, 1)]:  # nu^2, alpha^2 underflow
+        cert = lecam_certificate(k, 3000, eps, L=3, lam=10.0, nu=nu, alpha=alpha)
+        assert cert.terms[inf_term] == math.inf and not cert.valid
+        assert all(math.isfinite(t) for i, t in enumerate(cert.terms) if i != inf_term)
+
+
+def test_primal_value_equals_the_row_by_row_lp():
+    # reference: the equality rows appended one at a time, solved by the same HiGHS call
+    from numpy.polynomial import chebyshev as cheb
+    from scipy.optimize import linprog
+
+    for L, a, b, grid in [(0, 1.0, 10.0, 50), (1, 1.0, 6.0, 80), (3, 1.5, 30.0, 400),
+                          (5, 2.0, 40.0, 300)]:
+        xs = np.linspace(a, b, grid)
+        basis = cheb.chebvander((2.0 * xs - a - b) / (b - a), L)
+        rows = [np.concatenate([np.ones(grid), np.zeros(grid)]),
+                np.concatenate([np.zeros(grid), np.ones(grid)])]
+        for j in range(1, L + 1):
+            rows.append(np.concatenate([basis[:, j], -basis[:, j]]))
+        b_eq = np.zeros(len(rows))
+        b_eq[:2] = 1.0
+        ref = linprog(np.concatenate([-1.0 / xs, 1.0 / xs]), A_eq=np.vstack(rows), b_eq=b_eq,
+                      bounds=(0, None), method="highs")
+        assert primal_value(L, a, b, grid) == -ref.fun
