@@ -299,6 +299,10 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     (["theory", "priors", "--order", str(MAX_DEGREE + 1), "--lam", "30"], "ParameterError"),
     (["theory", "tv", "--order", "3", "--lam", "10", "--scale", "0.1",
       "--cutoff", str(MAX_TV_CUTOFF + 1)], "ParameterError"),
+    (["estimate", "--k", "0.5", "--estimator", "plugin"], "ParameterError"),
+    # k is checked before the input is opened, so a missing file is not reached
+    (["estimate", "--input", "/nonexistent/doc.txt", "--k", "0.5"], "ParameterError"),
+    (["estimate", "--fingerprint", "/nonexistent/fp.txt", "--k", "0.5"], "ParameterError"),
     (["theory", "approx", "--degree", "3", "--a", "1", "--b", "1e17"], "ParameterError"),
     (["theory", "priors", "--order", "3", "--lam", "1e17"], "ParameterError"),
     (["theory", "priors", "--order", "3", "--nu", "1e200", "--lam", "1e201"], "SolverError"),
@@ -311,10 +315,6 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     *[(["simulate", "--family", "uniform:k=10", "--n-grid", n, "--trials", "1",
         "--sampling", "poissonized", "--estimators", "plugin"], "ParameterError")
       for n in ("100000000000000000000", "1" + "0" * 400)],
-    (["estimate", "--k", "0.5", "--estimator", "plugin"], "ParameterError"),
-    # k is checked before the input is opened, so a missing file is not reached
-    (["estimate", "--input", "/nonexistent/doc.txt", "--k", "0.5"], "ParameterError"),
-    (["estimate", "--fingerprint", "/nonexistent/fp.txt", "--k", "0.5"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
