@@ -277,6 +277,9 @@ def _cmd_estimate(ns) -> list[dict]:
     cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
     check_k(ns.k)
     if ns.fingerprint:
+        if ns.resample_fraction is not None:
+            raise ParameterError("--resample-fraction needs --input: "
+                                 "a fingerprint has no units to resample")
         fp = read_fingerprint_file(ns.fingerprint)
     else:
         tok_cfg = TokenizerConfig(case_fold=not ns.no_case_fold,
@@ -312,9 +315,16 @@ def _cmd_estimate(ns) -> list[dict]:
     }]
 
 
+# Most points of a geometric --n-min/--n-max grid, checked before np.geomspace
+# allocates them; each point is one sample size of the sweep.
+MAX_GRID_POINTS = 10**6
+
+
 def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
-    if n_min < 1 or n_max <= n_min or points < 2:
-        raise ParameterError("need 1 <= n-min < n-max and n-points >= 2")
+    # np.geomspace reads its ends as int64, and no sampler takes an n of 2^63
+    if not (1 <= n_min < n_max < 2**63 and 2 <= points <= MAX_GRID_POINTS):
+        raise ParameterError(
+            f"need 1 <= n-min < n-max < 2^63 and 2 <= n-points <= {MAX_GRID_POINTS:.3g}")
     raw = np.geomspace(n_min, n_max, points)
     grid = sorted({int(round(v)) for v in raw})
     return grid

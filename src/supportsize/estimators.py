@@ -92,7 +92,8 @@ def chebyshev_estimate(
     The weights are chosen so that, under Poisson sampling, the bias
     contribution of a symbol with mass p is exp(-n p) * P_L(p), and P_L is
     the polynomial deviating least from zero on [l, r] among those pinned to
-    -1 at the origin.  Evaluation is O(L^2 + #distinct multiplicities).
+    -1 at the origin.  The weight table takes O(L) exact rational operations
+    and is built once per (L, l, r, n); the sum is O(#distinct multiplicities).
     """
     if k is None:
         raise ParameterError("k (reciprocal minimum mass) must be given")

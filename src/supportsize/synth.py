@@ -21,6 +21,12 @@ from .ingest import Fingerprint, fingerprint_from_counts
 # 0.9 GB, and 1e12 would need terabytes.
 MAX_FAMILY_SIZE = 10**7
 
+# Largest n of an iid sample, checked before anything is allocated.  The alias
+# draw holds about 25 bytes per draw at its peak, so 1e8 draws take 2.5 GB and
+# 1e13 would take hundreds of terabytes.  Drawing in chunks would change the
+# random stream; a larger n can be sampled Poissonized, whose memory grows with k.
+MAX_IID_N = 10**8
+
 # Largest n of a Poissonized sample: numpy's Generator.poisson rejects means above
 # about 9.22e18, and a fingerprint counts its samples in int64 (below 9.22e18).
 _MAX_POISSON_N = 9.2e18
@@ -165,6 +171,9 @@ def draw_counts(
         if n > _MAX_POISSON_N:  # an int n compares exactly, however large
             raise ParameterError(f"a Poissonized sample needs n <= {_MAX_POISSON_N:.3g}, got {n}")
         return rng.poisson(n * dist.masses)
+    if n > MAX_IID_N:  # an int n compares exactly, however large
+        raise ParameterError(f"an iid sample needs n <= {MAX_IID_N:.3g}, got {n}; "
+                             "use Poissonized sampling for larger n")
     k = dist.support_size
     if n == 0:
         return np.zeros(k, dtype=np.int64)

@@ -472,6 +472,8 @@ def max_exp_cheby(beta: float, L: int) -> ExpChebMax:
     below beta/L at y = asinh(2L/beta).  The root is bisected on that bracket
     until its ends are adjacent doubles.  For beta >= L^2 the maximum sits at
     x = 1.  The maximizer is near L/beta, so beta/L must be >= 2^-1022.
+    ``residual`` is |tanh(L y) - (beta/L) sinh(y)| at the root, an error
+    relative to tanh <= 1.
     """
     if not 0 < beta < math.inf:
         raise ParameterError(f"beta must be finite and > 0, got {beta}")
@@ -496,8 +498,7 @@ def max_exp_cheby(beta: float, L: int) -> ExpChebMax:
         value = math.exp(log_value)
     except OverflowError:
         value = math.inf
-    # residual of alpha*tanh(L y) = sinh(y), the scaled stationarity equation
-    residual = abs((L / beta) * math.tanh(L * y) - math.sinh(y))
+    residual = abs(math.tanh(L * y) - target * math.sinh(y))
     return ExpChebMax(x_star=x_star, value=value, log_value=log_value, residual=residual)
 
 

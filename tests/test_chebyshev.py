@@ -40,6 +40,30 @@ def shifted_poly(L, l, r):
     return -Chebyshev.basis(L, domain=[l, r]) / float(derivs[0]), 1.0 / abs(float(derivs[0]))
 
 
+def cheb_derivs_two_index(L, x):
+    """[T_L(x), ..., T_L^(L)(x)] exactly, by the three-term recurrence differentiated
+    j times, T_{m+1}^(j) = 2x T_m^(j) + 2j T_m^(j-1) - T_{m-1}^(j): the O(L^2)
+    route that Chebyshev's equation replaced, kept as a reference."""
+    prev = [Fraction(1)] + [Fraction(0)] * L
+    curr = [x, Fraction(1)] + [Fraction(0)] * (L - 1)
+    for _ in range(1, L):
+        nxt = [2 * x * curr[j] - prev[j] + (2 * j * curr[j - 1] if j else 0)
+               for j in range(L + 1)]
+        prev, curr = curr, nxt
+    return curr
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), L=st.integers(1, 40), width=st.floats(-12, 6))
+def test_origin_derivs_equal_the_two_index_recurrence(data, L, width):
+    # tiny l makes x0 a long rational; L <= 20 there keeps the O(L^2) reference quick
+    l = 10.0 ** data.draw(st.floats(-300 if L <= 20 else -30, 0))
+    r = l * (1 + 10.0**width)
+    lf, rf = Fraction(l), Fraction(r)
+    assert _origin_derivs(L, l, r) == (cheb_derivs_two_index(L, -(rf + lf) / (rf - lf)),
+                                       2 / (rf - lf))
+
+
 def test_origin_derivs_low_order_examples():
     # x0 = -(r + l)/(r - l) is -2 on [1, 3] and -5 on [2, 3]
     assert _origin_derivs(2, 1, 3) == ([7, -8, 4], 1)

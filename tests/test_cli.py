@@ -315,6 +315,15 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     *[(["simulate", "--family", "uniform:k=10", "--n-grid", n, "--trials", "1",
         "--sampling", "poissonized", "--estimators", "plugin"], "ParameterError")
       for n in ("100000000000000000000", "1" + "0" * 400)],
+    # capped before anything is allocated: iid draws and geometric grid points
+    *[(["simulate", "--family", "uniform:k=10", "--n-grid", n, "--trials", "1",
+        "--estimators", "plugin"], "ParameterError")
+      for n in ("10000000000000", "100000000000000000000")],
+    (["simulate", "--family", "uniform:k=10", "--n-min", "1", "--n-max", "10",
+      "--n-points", "1000000000000", "--trials", "1", "--estimators", "plugin"], "ParameterError"),
+    # a fingerprint cannot be resampled; refused before the file is opened
+    (["estimate", "--fingerprint", "/nonexistent/fp.txt", "--k", "100",
+      "--resample-fraction", "0.5"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"

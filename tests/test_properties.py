@@ -194,7 +194,17 @@ def commands(fp_path):
     grids = st.builds(
         lambda fam, est, grid: ["simulate", "--family", fam, "--n-grid", grid,
                                 "--trials", "1", "--estimators", est],
-        FAMILIES, st.sampled_from(sorted(ESTIMATORS)), st.sampled_from(N_GRIDS))
+        st.sampled_from(["uniform:k=50"]) | FAMILIES, st.sampled_from(sorted(ESTIMATORS)),
+        st.sampled_from(N_GRIDS))
+    # a valid family, so a grid in range really runs; n-max beyond the iid cap
+    # or beyond int64, and n-points beyond the grid cap, are domain errors
+    geometric = st.builds(
+        lambda est, lo, hi, points: ["simulate", "--family", "uniform:k=50", "--trials", "1",
+                                     "--estimators", est, "--n-min", lo, "--n-max", hi,
+                                     "--n-points", points],
+        st.sampled_from(sorted(ESTIMATORS)), st.sampled_from(["1", "0"]),
+        st.sampled_from(["40", "1000000000000", "100000000000000000000"]),
+        st.sampled_from(["3", "1000000000000"]))
     # a later flag overrides the default before it, and half the families are
     # known to be valid, so some probes really search
     probe = st.builds(
@@ -207,11 +217,12 @@ def commands(fp_path):
         lambda k, n, rest: ["coeffs", "--k", k, "--n", n, *rest],
         st.sampled_from(K_VALUES), st.sampled_from(["-1", "0", "1", "100", "nan"]),
         flags(["c0", "c1", "degree"]))
-    return estimate | simulate | grids | probe | coeffs | theory_commands()
+    return estimate | simulate | grids | geometric | probe | coeffs | theory_commands()
 
 
-# malformed, empty, unsorted and too-small sample-size grids
-N_GRIDS = ["abc", "1,,2", ",", "", "5,x", "1.5", "1e3", "0,1,2", "1,5", "20,5", " 3 , 7"]
+# malformed, empty, unsorted, too-small and too-large sample-size grids
+N_GRIDS = ["abc", "1,,2", ",", "", "5,x", "1.5", "1e3", "0,1,2", "1,5", "20,5", " 3 , 7",
+           "5,100000000000000000000"]
 ORDERS = ["-1", "0", "1", "3"]
 
 

@@ -20,6 +20,7 @@ from supportsize import (
     run_sweep,
     wilson_interval,
 )
+from supportsize import synth
 from supportsize.cli import _write_records
 from supportsize.sweep import CSV_COLUMNS
 
@@ -220,6 +221,13 @@ def test_probe_verification_fails_twice_then_passes():
             (128, 0.4), (256, 0.0), (192, 0.2), (224, 0.0), (208, 0.3), (216, 0.1), (212, 0.2),
             (214, 0.1), (213, 0.0), (213, 0.15), (223, 0.1), (218, 0.0), (215, 0.0), (214, 0.1),
             (214, 0.2), (224, 0.0), (219, 0.2), (221, 0.0), (220, 0.0), (220, 0.075)])
+
+
+def test_probe_past_the_iid_cap_ends_with_its_error(monkeypatch):
+    # plugin needs all 100 symbols at eps = 0.01, so the doubling passes n = 64
+    monkeypatch.setattr(synth, "MAX_IID_N", 64)
+    with pytest.raises(ParameterError, match="iid sample needs n <= 64, got 128"):
+        probe_sample_complexity(make_uniform(100), "plugin", 0.01, trials=2, seed=0)
 
 
 def test_probe_ceiling_ends_the_search():

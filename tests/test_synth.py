@@ -17,6 +17,7 @@ from supportsize import (
     parse_family,
     sample_fingerprint,
 )
+from supportsize.synth import MAX_IID_N
 
 
 def test_make_uniform_examples():
@@ -148,6 +149,10 @@ def test_draw_counts_validation():
         with pytest.raises(ParameterError, match="Poissonized"):
             draw_counts(d, n, rng, sampling="poissonized")
     assert draw_counts(d, 9_200_000_000_000_000_000, rng, sampling="poissonized").size == 4
+    # the alias draw holds all n draws at once, so an iid n is capped before drawing
+    for n in (MAX_IID_N + 1, 10**13, 10**20, 10**400):
+        with pytest.raises(ParameterError, match="iid sample needs n <= 1e\\+08"):
+            draw_counts(d, n, rng)
 
 
 def test_alias_draws_match_masses():
