@@ -7,6 +7,7 @@ record goes to stderr), 3 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -182,8 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(action: argparse.Action, value: str, where: str):
-    """A config value typed and checked as argparse would check the flag's argument."""
+def _config_value(command, action: argparse.Action, value: str, where: str):
+    """A config value typed and checked by ``command`` as it types the flag's argument.
+
+    (Its ``_get_values`` would turn the value ``--`` into an empty list.)
+    """
     if action.nargs == 0:  # store_true
         lowered = value.lower()
         if lowered in ("true", "yes", "on"):
@@ -191,15 +195,11 @@ def _config_value(action: argparse.Action, value: str, where: str):
         if lowered in ("false", "no", "off"):
             return False
         raise ParameterError(f"{where}: expected true/false/yes/no/on/off, got {value!r}")
-    if action.type is not None:
-        try:
-            value = action.type(value)
-        except ValueError:
-            raise ParameterError(
-                f"{where}: invalid {action.type.__name__} value {value!r}"
-            ) from None
-    if action.choices is not None and value not in action.choices:
-        raise ParameterError(f"{where}: {value!r} is not one of {sorted(action.choices)}")
+    try:
+        value = command._get_value(action, value)
+        command._check_value(action, value)
+    except argparse.ArgumentError as exc:
+        raise ParameterError(f"{where}: {exc.message}") from None
     return value
 
 
@@ -215,17 +215,15 @@ def _apply_config(
     belong to the invoked command are ignored, letting one file serve several
     subcommands.  Keys of a mutually exclusive group are ignored too: the only
     one, ``--input``/``--fingerprint``, is required, so a flag of it is always
-    given.  Values are typed and checked like the flag's own argument.  Flags
+    given.  Values are typed and checked by the command's parser.  Flags
     argparse marks as required must still be given on the command line.
     """
     if not ns.config:
         return ns
     command = ns.parser
     actions = {action.dest: action for action in command._actions}
-    for action in command._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                actions[opt[2:].replace("-", "_")] = action
+    actions.update((opt.lstrip("-").replace("-", "_"), action)
+                   for opt, action in command._option_string_actions.items())
     exclusive = {a for group in command._mutually_exclusive_groups for a in group._group_actions}
     typed = {}
     # an invalid byte decodes to a lone surrogate, which cannot be encoded back
@@ -245,20 +243,14 @@ def _apply_config(
             action = actions.get(key.strip().replace("-", "_"))
             if action is None or action in exclusive or action.default is argparse.SUPPRESS:
                 continue
-            typed[action.dest] = _config_value(action, val.strip(), where)
+            typed[action.dest] = _config_value(command, action, val.strip(), where)
     command.set_defaults(**typed)
     return parser.parse_args(argv)
 
 
-def _open_output(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline=""), True
-
-
 def _write_records(records: list[dict], ns) -> None:
-    out, close = _open_output(ns.output)
-    try:
+    with (contextlib.nullcontext(sys.stdout) if ns.output == "-"
+          else open(ns.output, "w", encoding="ascii", newline="")) as out:
         if ns.format == "json":
             for rec in records:
                 out.write(json.dumps(rec) + "\n")
@@ -268,9 +260,6 @@ def _write_records(records: list[dict], ns) -> None:
             writer.writerow(keys)
             for rec in records:
                 writer.writerow(["" if rec[c] is None else rec[c] for c in keys])
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_estimate(ns) -> list[dict]:

@@ -104,15 +104,11 @@ def _iter_decoded_lines(source: TokenSource, encoding: str) -> Iterator[str]:
     newlines translated as in a file opened in text mode.
     """
     if isinstance(source, str):
-        yield from source.splitlines()
-        return
+        source = source.splitlines()
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    if isinstance(source, io.TextIOBase):
-        yield from source
-        return
-    if not hasattr(source, "read"):
-        yield from source  # already an iterable of text lines
+    if isinstance(source, io.TextIOBase) or not hasattr(source, "read"):
+        yield from source  # a text stream or an iterable of text lines
         return
     # binary stream: one incremental decoder over the whole stream, since a
     # character may straddle a read boundary and UTF-16 code units may hold a
@@ -204,37 +200,28 @@ def read_fingerprint_file(path) -> Fingerprint:
     # a byte outside ASCII decodes to a lone surrogate, so it is caught with its line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raise FingerprintFormatError(f"{path}:{lineno}: non-ASCII byte", line_number=lineno)
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise FingerprintFormatError(
-                    f"{path}:{lineno}: expected 'j h_j', got {body!r}", line_number=lineno
-                )
             try:
-                j, hj = int(parts[0]), int(parts[1])
+                if not line.isascii():
+                    raise ValueError("non-ASCII byte")
+                body = line.strip()
+                if not body or body.startswith("#"):
+                    continue
+                parts = body.split()
+                if len(parts) != 2:
+                    raise ValueError(f"expected 'j h_j', got {body!r}")
+                try:
+                    j, hj = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ValueError(f"non-integer field in {body!r}") from None
+                if j == prev_j:
+                    raise ValueError(f"duplicate multiplicity j={j}")
+                if j < prev_j:
+                    raise ValueError(f"multiplicities must be strictly increasing "
+                                     f"(j={j} after {prev_j})")
+                if j < 1 or hj < 1:
+                    raise ValueError(f"j and h_j must be >= 1, got j={j} h_j={hj}")
             except ValueError as exc:
-                raise FingerprintFormatError(
-                    f"{path}:{lineno}: non-integer field in {body!r}", line_number=lineno
-                ) from exc
-            if j == prev_j:
-                raise FingerprintFormatError(
-                    f"{path}:{lineno}: duplicate multiplicity j={j}", line_number=lineno
-                )
-            if j < prev_j:
-                raise FingerprintFormatError(
-                    f"{path}:{lineno}: multiplicities must be strictly increasing "
-                    f"(j={j} after {prev_j})",
-                    line_number=lineno,
-                )
-            if j < 1 or hj < 1:
-                raise FingerprintFormatError(
-                    f"{path}:{lineno}: j and h_j must be >= 1, got j={j} h_j={hj}",
-                    line_number=lineno,
-                )
+                raise FingerprintFormatError(f"{path}:{lineno}: {exc}", line_number=lineno) from None
             h[j] = hj
             prev_j = j
     n = sum(j * c for j, c in h.items())
