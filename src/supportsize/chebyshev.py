@@ -29,6 +29,11 @@ from .errors import ParameterError
 MAX_DEGREE = 100
 
 
+def check_degree(L: int) -> None:
+    if not 1 <= L <= MAX_DEGREE:
+        raise ParameterError(f"degree must be in 1..{MAX_DEGREE}, got {L}")
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Weights g[0..L] of the degree-L estimator on [l, r] for sample size n.
@@ -56,8 +61,7 @@ def _origin_derivs(L: int, l, r) -> tuple[list[Fraction], Fraction]:
     j times: (1 - x^2) T^(j+2) = (2j + 1) x T^(j+1) - (L^2 - j^2) T^(j).
     As 0 < l < r puts x0 below -1, 1 - x0^2 is never 0.
     """
-    if not 1 <= L <= MAX_DEGREE:
-        raise ParameterError(f"degree must be in 1..{MAX_DEGREE}, got {L}")
+    check_degree(L)
     lf, rf = Fraction(l), Fraction(r)
     if not 0 < lf < rf:
         raise ParameterError(f"need 0 < l < r, got l={l}, r={r}")

@@ -19,11 +19,12 @@ from . import theory
 from .chebyshev import g_table, shifted_coeffs
 from .errors import ParameterError, SupportSizeError
 from .estimators import (DEFAULT_CONFIG, DEFAULT_J, DEFAULT_T, ESTIMATORS, EstimatorConfig,
-                         check_k, degree_params, run_estimator)
+                         check_arguments, degree_params, run_estimator)
 from .ingest import (
     TokenizerConfig,
     _iter_decoded_lines,
     build_histogram,
+    check_seed,
     fingerprint_of,
     read_fingerprint_file,
     resample,
@@ -264,11 +265,14 @@ def _write_records(records: list[dict], ns) -> None:
 
 def _cmd_estimate(ns) -> list[dict]:
     cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
-    check_k(ns.k)
-    if ns.fingerprint:
-        if ns.resample_fraction is not None:
+    # everything that needs no sample is checked before the input is opened
+    check_arguments(ns.estimator, ns.k, cfg, ns.t, ns.J)
+    if ns.resample_fraction is not None:  # the one use of the seed
+        if ns.fingerprint:
             raise ParameterError("--resample-fraction needs --input: "
                                  "a fingerprint has no units to resample")
+        check_seed(ns.seed)
+    if ns.fingerprint:
         fp = read_fingerprint_file(ns.fingerprint)
     else:
         tok_cfg = TokenizerConfig(case_fold=not ns.no_case_fold,

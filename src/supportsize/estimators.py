@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from scipy.special import betainc
 
-from .chebyshev import g_table
+from .chebyshev import check_degree, g_table
 from .errors import DegenerateDegreeError, ParameterError, UndefinedEstimatorError
 from .ingest import Fingerprint
 
@@ -58,16 +58,10 @@ class Estimate:
         return Estimate(value=float(value), params=params)
 
 
-def degree_params(k: float, n: int, cfg: EstimatorConfig = DEFAULT_CONFIG):
-    """Degree and approximation interval: L = floor(c0 ln k), [l, r] = [1/k, c1 ln k / n].
-
-    Logarithms are natural: with c0 = 0.45 this yields L = 4, 6, 9 at
-    k = 32000, 1e6, 1e9, which no other base reproduces.
-    """
+def _degree(k: float, cfg: EstimatorConfig) -> int:
+    """The degree L of the rule, which depends on k and cfg alone."""
     if not 2 <= k < math.inf:
         raise ParameterError(f"k must be finite and >= 2, got {k}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     if cfg.override_L is not None:
         L = cfg.override_L
     else:
@@ -77,6 +71,20 @@ def degree_params(k: float, n: int, cfg: EstimatorConfig = DEFAULT_CONFIG):
             f"degree rule gives L={L} for k={k} (c0={cfg.c0}); "
             "too few effective moments -- use the plug-in estimator instead"
         )
+    check_degree(L)
+    return L
+
+
+def degree_params(k: float, n: int, cfg: EstimatorConfig = DEFAULT_CONFIG):
+    """Degree and approximation interval: L = floor(c0 ln k), [l, r] = [1/k, c1 ln k / n].
+
+    Logarithms are natural: with c0 = 0.45 this yields L = 4, 6, 9 at
+    k = 32000, 1e6, 1e9, which no other base reproduces.  L is at most
+    ``MAX_DEGREE``.
+    """
+    L = _degree(k, cfg)
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     l = 1.0 / k
     r = cfg.c1 * math.log(k) / n
     if r <= l * (1.0 + _MIN_WIDTH):
@@ -176,6 +184,14 @@ def chao_lee(fp: Fingerprint, variant: int = 1) -> Estimate:
     return Estimate.of(value, n=n, coverage=c, cv_sq=gamma_sq)
 
 
+def _check_series(t: float, J: int = DEFAULT_J) -> None:
+    """The rules of the extrapolation ratio t (et, gtoulmin) and the cutoff J (et)."""
+    if not 0 < t < math.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
+    if J < 1:
+        raise ParameterError(f"J must be a positive integer, got {J}")
+
+
 def efron_thisted(fp: Fingerprint, t: float = DEFAULT_T, J: int = DEFAULT_J) -> Estimate:
     """Binomial-smoothed series estimator (Efron & Thisted 1976).
 
@@ -183,10 +199,7 @@ def efron_thisted(fp: Fingerprint, t: float = DEFAULT_T, J: int = DEFAULT_J) -> 
     b_j = P[Binom(J, 1/(t+1)) >= j], the regularized incomplete beta
     I_{1/(t+1)}(j, J-j+1), evaluated at observed j only.
     """
-    if not 0 < t < math.inf:
-        raise ParameterError(f"t must be finite and > 0, got {t}")
-    if J < 1:
-        raise ParameterError(f"J must be a positive integer, got {J}")
+    _check_series(t, J)
     if fp.n < 1:
         raise UndefinedEstimatorError("Efron-Thisted estimator needs at least one sample")
     q = 1.0 / (t + 1.0)
@@ -196,8 +209,7 @@ def efron_thisted(fp: Fingerprint, t: float = DEFAULT_T, J: int = DEFAULT_J) -> 
 
 def good_toulmin(fp: Fingerprint, t: float = DEFAULT_T) -> Estimate:
     """Unsmoothed extrapolation series: plug_in + sum_j (-1)^(j+1) t^j h_j (Good & Toulmin 1956)."""
-    if not 0 < t < math.inf:
-        raise ParameterError(f"t must be finite and > 0, got {t}")
+    _check_series(t)
     if fp.n < 1:
         raise UndefinedEstimatorError("Good-Toulmin estimator needs at least one sample")
     value = _linear(fp, lambda j: 1.0 - (-t) ** j, math.inf)
@@ -223,6 +235,22 @@ def check_k(k: float) -> None:
         raise ParameterError(f"k must be finite and >= 1, got {k}")
 
 
+def check_arguments(token: str, k: Optional[float] = None, cfg: EstimatorConfig = DEFAULT_CONFIG,
+                    t: float = DEFAULT_T, J: int = DEFAULT_J) -> None:
+    """Every check of ``run_estimator``'s arguments that needs no sample, so a
+    caller can reject bad arguments before it reads one."""
+    if token not in ESTIMATORS:
+        raise ParameterError(f"unknown estimator {token!r}; choose from {sorted(ESTIMATORS)}")
+    if k is not None:
+        check_k(k)
+        if token == "wy":
+            _degree(k, cfg)
+    if token == "et":
+        _check_series(t, J)
+    elif token == "gtoulmin":
+        _check_series(t)
+
+
 def run_estimator(
     token: str,
     fp: Fingerprint,
@@ -231,9 +259,6 @@ def run_estimator(
     t: float = DEFAULT_T,
     J: int = DEFAULT_J,
 ) -> Estimate:
-    """Run the estimator registered under ``token`` in ``ESTIMATORS``; a given ``k`` is checked."""
-    if token not in ESTIMATORS:
-        raise ParameterError(f"unknown estimator {token!r}; choose from {sorted(ESTIMATORS)}")
-    if k is not None:
-        check_k(k)
+    """Run the estimator registered under ``token`` in ``ESTIMATORS``, after ``check_arguments``."""
+    check_arguments(token, k, cfg, t, J)
     return ESTIMATORS[token](fp, k, cfg, t, J)

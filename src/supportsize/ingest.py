@@ -221,7 +221,8 @@ def read_fingerprint_file(path) -> Fingerprint:
                 if j < 1 or hj < 1:
                     raise ValueError(f"j and h_j must be >= 1, got j={j} h_j={hj}")
             except ValueError as exc:
-                raise FingerprintFormatError(f"{path}:{lineno}: {exc}", line_number=lineno) from None
+                message = f"{path}:{lineno}: {exc}"
+                raise FingerprintFormatError(message, line_number=lineno) from None
             h[j] = hj
             prev_j = j
     n = sum(j * c for j, c in h.items())
@@ -235,6 +236,12 @@ def write_fingerprint_file(fp: Fingerprint, path) -> None:
             fh.write(f"{j} {fp.h[j]}\n")
 
 
+def check_seed(seed: int) -> None:
+    """A master seed is any integer >= 0, as numpy's SeedSequence takes it."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+
+
 def resample(units: Sequence, fraction: float, seed: int) -> list:
     """Draw ``ceil(fraction * len(units))`` units uniformly with replacement.
 
@@ -246,6 +253,7 @@ def resample(units: Sequence, fraction: float, seed: int) -> list:
         raise EmptyInputError("cannot resample from an empty corpus")
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
+    check_seed(seed)
     m = math.ceil(fraction * len(units))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out: list = []

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ParameterError, UndefinedEstimatorError
 from .estimators import ESTIMATORS, DEFAULT_CONFIG, EstimatorConfig, run_estimator
-from .ingest import Fingerprint
-from .synth import DiscreteDistribution, check_sampling, effective_k, sample_fingerprint
+from .ingest import Fingerprint, check_seed
+from .synth import (DiscreteDistribution, check_sample_size, check_sampling, effective_k,
+                    sample_fingerprint)
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -41,6 +42,9 @@ class SweepSpec:
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ParameterError(f"unknown estimators {unknown}; choose from {sorted(ESTIMATORS)}")
+        check_seed(self.seed)
+        for n in self.n_grid:  # before the first trial, not where the sweep reaches n
+            check_sample_size(n, self.sampling)
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,7 @@ def probe_sample_complexity(
     if not 0 <= delta < 1:
         raise ParameterError(f"delta must be in [0, 1), got {delta}")
     check_sampling(sampling)
+    check_seed(seed)
     k = effective_k(family)
     if epsilon >= 0.5:
         return ProbeResult(estimator, epsilon, delta, k, 0, None, None, None,

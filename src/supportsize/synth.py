@@ -157,6 +157,19 @@ def check_sampling(sampling: str) -> None:
         raise ParameterError(f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}")
 
 
+def check_sample_size(n: int, sampling: str = "iid") -> None:
+    """The size rules of one sample: n >= 0, at most MAX_IID_N iid, at most 9.2e18 Poissonized."""
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
+    check_sampling(sampling)
+    # an int n compares exactly, however large
+    if sampling == "poissonized" and n > _MAX_POISSON_N:
+        raise ParameterError(f"a Poissonized sample needs n <= {_MAX_POISSON_N:.3g}, got {n}")
+    if sampling == "iid" and n > MAX_IID_N:
+        raise ParameterError(f"an iid sample needs n <= {MAX_IID_N:.3g}, got {n}; "
+                             "use Poissonized sampling for larger n")
+
+
 def draw_counts(
     dist: DiscreteDistribution,
     n: int,
@@ -164,16 +177,9 @@ def draw_counts(
     sampling: str = "iid",
 ) -> np.ndarray:
     """Count vector of one sample: multinomial(n) via alias draws, or independent Poi(n p_i)."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    check_sampling(sampling)
+    check_sample_size(n, sampling)
     if sampling == "poissonized":
-        if n > _MAX_POISSON_N:  # an int n compares exactly, however large
-            raise ParameterError(f"a Poissonized sample needs n <= {_MAX_POISSON_N:.3g}, got {n}")
         return rng.poisson(n * dist.masses)
-    if n > MAX_IID_N:  # an int n compares exactly, however large
-        raise ParameterError(f"an iid sample needs n <= {MAX_IID_N:.3g}, got {n}; "
-                             "use Poissonized sampling for larger n")
     k = dist.support_size
     if n == 0:
         return np.zeros(k, dtype=np.int64)

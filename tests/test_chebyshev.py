@@ -156,8 +156,8 @@ def test_g_table_g0_always_zero():
 
 
 def test_g_table_weight_identity():
-    # g_j = a_j j!/n^j + 1 is the same rational as the scaled-variable form
-    # g_table uses, so both rounded parts match the p-space formula exactly
+    # g_table builds g_j = a_j j!/n^j + 1 as one exact rational and rounds it
+    # once, so both rounded parts match this formula exactly
     fig1 = (6, 1e-6, 0.5 * math.log(10**6) / (2 * 10**5), 2 * 10**5)
     cases = [(5, 0.001, 0.02, 400), fig1, (1, 0.01, 0.3, 7),
              (9, 1e-9, 0.5 * math.log(10**9) / 10**7, 10**7), (12, 1e-5, 3e-4, 3000)]

@@ -17,6 +17,7 @@ from supportsize import (
     run_sweep,
     write_fingerprint_file,
 )
+from supportsize import sweep
 from supportsize.chebyshev import MAX_DEGREE
 from supportsize.cli import main
 from supportsize.theory import MAX_TV_CUTOFF
@@ -324,6 +325,25 @@ def test_error_record_and_exit_code(tmp_path, capsys):
     # a fingerprint cannot be resampled; refused before the file is opened
     (["estimate", "--fingerprint", "/nonexistent/fp.txt", "--k", "100",
       "--resample-fraction", "0.5"], "ParameterError"),
+    # every estimator argument is checked before the input is opened
+    *[(["estimate", "--input", "/nonexistent/doc.txt", *args], error) for args, error in [
+        (["--k", "1.5"], "ParameterError"),
+        (["--k", "5"], "DegenerateDegreeError"),
+        (["--k", "60000", "--degree", "0"], "DegenerateDegreeError"),
+        (["--k", "60000", "--degree", str(MAX_DEGREE + 1)], "ParameterError"),
+        (["--k", "60000", "--c0", "1e9"], "ParameterError"),
+        (["--k", "60000", "--estimator", "et", "--t", "nan"], "ParameterError"),
+        (["--k", "60000", "--estimator", "et", "--J", "0"], "ParameterError"),
+        (["--k", "60000", "--estimator", "gtoulmin", "--t", "-1"], "ParameterError"),
+        # a negative seed, refused before the input is opened and read
+        (["--k", "60000", "--resample-fraction", "0.01", "--seed", "-2"], "ParameterError"),
+    ]],
+    (["simulate", "--family", "uniform:k=40", "--n-grid", "30", "--trials", "2", "--seed", "-3"],
+     "ParameterError"),
+    (["probe", "--family", "uniform:k=50", "--epsilon", "0.3", "--trials", "5", "--seed", "-1"],
+     "ParameterError"),
+    (["theory", "certify", "--k", "1e6", "--n", "3000", "--epsilon", "0.15", "--order", "3",
+      "--lam", "10"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
@@ -434,13 +454,26 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     sim = ("simulate", "--family", "uniform:k=40", "--n-grid", "30", "--config", str(cfg))
     for body, lineno in [("c0=abc\n", 1), ("trials=6\ntrials=x\n", 2),
-                         ("sampling=other\n", 1), ("format=xml\n", 1)]:
+                         ("sampling=other\n", 1), ("format=xml\n", 1), ("# x\ntrials 6\n", 2)]:
         cfg.write_text(body)
         code, _, err = run_cli(capsys, *sim)
         assert code == 2
         rec = json.loads(err)
         assert rec["error"] == "ParameterError"
         assert rec["message"].startswith(f"{cfg}:{lineno}: ")
+    # the wording after file:line is the command parser's own
+    for body, wording in [("c0=abc\n", "invalid float value: 'abc'"),
+                          ("format=xml\n", "invalid choice: 'xml' (choose from ")]:
+        cfg.write_text(body)
+        assert json.loads(run_cli(capsys, *sim)[2])["message"].startswith(f"{cfg}:1: {wording}")
+    # a negative seed is typed like any int, then refused as a domain error
+    cfg.write_text("seed=-3\n")
+    for argv in (sim, ("probe", "--family", "uniform:k=50", "--epsilon", "0.3", "--trials", "5",
+                       "--config", str(cfg))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ParameterError",
+                                   "message": "seed must be a non-negative integer, got -3"}
     # switches take yes/no words; keys of other commands are ignored unchecked
     doc = tmp_path / "doc.txt"
     doc.write_text("a b b\n")  # Good-Turing: 2 / (1 - 1/3) = 3
@@ -471,6 +504,15 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
     cfg.write_text("clamp=maybe\n")
     code, _, err = run_cli(capsys, *est)
     assert code == 2 and "true/false" in json.loads(err)["message"]
+
+
+def test_simulate_checks_its_whole_grid_before_the_first_trial(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(sweep, "trial_rng", lambda *path: calls.append(path))
+    code, out, err = run_cli(capsys, "simulate", "--family", "uniform:k=10", "--n-grid",
+                             "1,100000000,1000000000", "--trials", "3", "--estimators", "plugin")
+    assert code == 2 and out == "" and calls == []
+    assert json.loads(err)["message"].startswith("an iid sample needs n <= 1e+08, got 1000000000")
 
 
 def test_fingerprint_format_error_is_domain_error(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Estimator contracts: degree rule, linear forms, baselines, invariances."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 import supportsize as ss
 from supportsize import (
+    DEFAULT_CONFIG,
     DegenerateDegreeError,
     EstimatorConfig,
     Fingerprint,
@@ -22,6 +24,8 @@ from supportsize import (
     good_turing,
     plug_in,
 )
+from supportsize.chebyshev import MAX_DEGREE
+from supportsize.estimators import check_arguments
 
 
 def fp_of(h):
@@ -65,6 +69,9 @@ def test_degree_rule_preconditions():
             degree_params(k, 100)
     with pytest.raises(ParameterError):
         degree_params(100, 0)
+    for cfg in (EstimatorConfig(override_L=MAX_DEGREE + 1), EstimatorConfig(c0=1e9)):
+        with pytest.raises(ParameterError, match=rf"degree must be in 1\.\.{MAX_DEGREE}"):
+            degree_params(10**6, 100, cfg)
 
 
 def test_plug_in_examples():
@@ -235,3 +242,23 @@ def test_estimator_config_validation():
         for k in (0.5, math.nan, math.inf):
             with pytest.raises(ParameterError, match="k must be"):
                 ss.run_estimator(token, fp, k)
+    with pytest.raises(ParameterError, match="unknown estimator 'nope'"):
+        ss.run_estimator("nope", fp, 100)
+
+
+@pytest.mark.parametrize("token,k,cfg,t,J", [
+    ("wy", 1.5, DEFAULT_CONFIG, 1.0, 10),
+    ("wy", 5, DEFAULT_CONFIG, 1.0, 10),
+    ("wy", 6e4, EstimatorConfig(override_L=0), 1.0, 10),
+    ("wy", 6e4, EstimatorConfig(override_L=MAX_DEGREE + 1), 1.0, 10),
+    ("wy", 6e4, EstimatorConfig(c0=1e9), 1.0, 10),
+    ("et", 6e4, DEFAULT_CONFIG, math.nan, 10),
+    ("et", 6e4, DEFAULT_CONFIG, 1.0, 0),
+    ("gtoulmin", 6e4, DEFAULT_CONFIG, -1.0, 10),
+])
+def test_argument_checks_raise_what_the_estimator_raises(token, k, cfg, t, J):
+    # check_arguments runs the estimator's own checks without a sample
+    with pytest.raises(ParameterError) as direct:
+        ss.ESTIMATORS[token](fp_of({1: 2, 2: 1}), k, cfg, t, J)
+    with pytest.raises(type(direct.value), match=f"^{re.escape(str(direct.value))}$"):
+        check_arguments(token, k, cfg, t, J)

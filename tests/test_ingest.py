@@ -1,6 +1,7 @@
 """Tokenization, histograms, fingerprints, file round trips, resampling."""
 
 import io
+import re
 from collections import Counter
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_tokenize_decodes_the_stream_as_a_whole():
 def test_build_histogram_examples():
     h = build_histogram(["a", "b", "a", "c"])
     assert dict(h.counts) == {"a": 2, "b": 1, "c": 1}
-    assert h.n == 4
+    assert h.n == 4 and h.distinct == 3
     assert build_histogram([]).n == 0
     h = build_histogram(["x"] * 5)
     assert dict(h.counts) == {"x": 5} and h.n == 5
@@ -123,6 +124,9 @@ def test_fingerprint_invariants():
         Fingerprint(h={1: 2}, n=3)
     with pytest.raises(ParameterError):
         Fingerprint(h={0: 2}, n=0)
+    for h_j in (0, 1.5):
+        with pytest.raises(ParameterError, match="h_2 must be a positive integer"):
+            Fingerprint(h={2: h_j}, n=2 * h_j)
 
 
 def test_fingerprint_relabeling_invariance():
@@ -188,7 +192,8 @@ def test_fingerprint_file_no_trailing_newline(tmp_path):
 def test_fingerprint_file_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.txt"
     path.write_text(content)
-    with pytest.raises(FingerprintFormatError) as err:
+    prefix = "^" + re.escape(f"{path}:{lineno}: ")
+    with pytest.raises(FingerprintFormatError, match=prefix) as err:
         read_fingerprint_file(path)
     assert err.value.line_number == lineno
 
@@ -214,6 +219,9 @@ def test_resample_errors():
         resample(["a"], 0.0, seed=0)
     with pytest.raises(ParameterError):
         resample(["a"], 1.5, seed=0)
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        resample(["a"], 0.5, seed=-1)
+    assert resample(["a"], 1.0, seed=10**38) == ["a"]  # any size of seed
 
 
 def test_split_paragraphs():

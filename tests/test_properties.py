@@ -217,7 +217,18 @@ def commands(fp_path):
         lambda k, n, rest: ["coeffs", "--k", k, "--n", n, *rest],
         st.sampled_from(K_VALUES), st.sampled_from(["-1", "0", "1", "100", "nan"]),
         flags(["c0", "c1", "degree"]))
-    return estimate | simulate | grids | geometric | probe | coeffs | theory_commands()
+    # runs that are valid but for the seed; a negative one is a domain error, and
+    # numpy's SeedSequence takes any size >= 0
+    seeded = st.builds(
+        lambda argv, seed: [*argv, "--seed", seed],
+        st.sampled_from([
+            ["simulate", "--family", "uniform:k=50", "--n-grid", "5,20", "--trials", "1",
+             "--estimators", "plugin"],
+            ["probe", "--family", "uniform:k=50", "--epsilon", "0.45", "--trials", "2"],
+            ["estimate", "--input", fp_path, "--k", "50", "--resample-fraction", "0.5"],
+        ]),
+        st.sampled_from(["0", "7", "-1", str(10**38)]))
+    return estimate | simulate | grids | geometric | probe | coeffs | seeded | theory_commands()
 
 
 # malformed, empty, unsorted, too-small and too-large sample-size grids
@@ -318,9 +329,10 @@ unicode_text = st.lists(
 @given(text=unicode_text)
 def test_tokenize_matches_per_token_filter(text):
     data = text.encode()
+    lines = text.splitlines(keepends=True)
     for cfg in TOKENIZER_CONFIGS:
         expected = reference_tokens(text, cfg)
-        for source in (text, data, io.BytesIO(data), io.StringIO(text)):
+        for source in (text, data, io.BytesIO(data), io.StringIO(text), lines, iter(lines)):
             assert list(tokenize(source, cfg)) == expected, (cfg, type(source))
 
 

@@ -60,6 +60,16 @@ def test_spec_validation():
         SweepSpec(family=fam, n_grid=[10], estimators=("nope",))
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10], estimators=())
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        SweepSpec(family=fam, n_grid=[10], seed=-1)
+    # each n of the grid meets the sampler's size rules before any trial
+    with pytest.raises(ParameterError, match="n must be >= 0, got -1"):
+        SweepSpec(family=fam, n_grid=[-1, 10])
+    with pytest.raises(ParameterError, match="Poissonized sample needs"):
+        SweepSpec(family=fam, n_grid=[10, 10**19], sampling="poissonized")
+    # seeds of any size are accepted
+    spec = SweepSpec(family=fam, n_grid=[10], trials=1, estimators=("plugin",), seed=10**38)
+    assert run_sweep(spec)[0].trials == 1
 
 
 def test_run_sweep_bit_reproducible():
@@ -151,6 +161,10 @@ def test_probe_trivial_epsilon():
     # the arguments are checked before the trivial answer, sampling among them
     with pytest.raises(ParameterError, match="sampling"):
         probe_sample_complexity(make_uniform(10), "wy", 0.6, sampling="bogus")
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        probe_sample_complexity(make_uniform(10), "wy", 0.6, seed=-1)
+    with pytest.raises(ParameterError, match="unknown estimator 'nope'"):
+        probe_sample_complexity(make_uniform(10), "nope", 0.6)
 
 
 def test_probe_epsilon_below_resolution():

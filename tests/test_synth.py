@@ -77,6 +77,9 @@ def test_distribution_invariants_enforced():
         DiscreteDistribution(masses=np.array([0.6, 0.5]))
     with pytest.raises(ParameterError):
         DiscreteDistribution(masses=np.array([np.nan, np.nan]))
+    for masses in ([], [[0.5, 0.5]], 1.0):
+        with pytest.raises(ParameterError, match="nonempty 1-d"):
+            DiscreteDistribution(masses=np.array(masses))
 
 
 def test_family_membership_in_model_class():

@@ -22,6 +22,7 @@ from supportsize import (
     tv_exact,
     tv_exact_atoms,
 )
+from supportsize.chebyshev import MAX_DEGREE
 
 
 def test_best_constant_approximation():
@@ -88,6 +89,8 @@ def test_closed_form_error_structure():
         )
     with pytest.raises(ParameterError):
         closed_form_error(2, 0.5, 3.0)
+    with pytest.raises(ParameterError, match="need L >= 1"):
+        closed_form_error(0, 1.0, 3.0)
 
 
 def test_primal_value_no_moment_constraints():
@@ -105,6 +108,11 @@ def test_primal_value_duality():
 def test_primal_value_grid_precondition():
     with pytest.raises(ParameterError):
         primal_value(3, 1.0, 5.0, 4)
+    with pytest.raises(ParameterError, match="need 1 <= a < b < inf"):
+        primal_value(3, 5.0, 1.0, 400)
+    for L in (-1, MAX_DEGREE + 1):
+        with pytest.raises(ParameterError, match="need 0 <= L <= "):
+            primal_value(L, 1.0, 5.0, 400)
 
 
 def test_prior_pair_two_atom_case():
@@ -194,6 +202,12 @@ def test_tv_bound_values():
     # deep moment-matching regime: the full form beats the simplified one
     deep = tv_bound(2.0, 12)
     assert deep.full < deep.simplified
+    for lam_max in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="lam_max must be finite and > 0"):
+            tv_bound(lam_max, 4)
+    for L in (0, MAX_DEGREE + 1):
+        with pytest.raises(ParameterError, match="L must be in 1.."):
+            tv_bound(2.0, L)
     assert deep.full == pytest.approx(
         (1.0) ** 13 / math.factorial(13)
         * (2 + 2 ** (1 - 12) + 2 ** (1 / math.log(2) - 12)),
@@ -240,6 +254,9 @@ def test_lecam_certificate_preconditions():
         lecam_certificate(10**6, 100, 0.1, L=3, lam=20.0, nu=0.0, alpha=0.1)
     with pytest.raises(ParameterError):
         lecam_recipe(100, 0.6)
+    # at k = 2 and a tiny epsilon the recipe's lam falls below 1 + nu
+    with pytest.raises(ParameterError, match="recipe degenerate"):
+        lecam_recipe(2, 1e-10)
 
 
 def test_max_exp_cheby_stationarity():
@@ -291,6 +308,9 @@ def test_rate_envelope_values_and_monotonicity():
     ns = np.linspace(0, 20 * k, 200)
     vals = [rate_envelope(k, n) for n in ns]
     assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+    for k, n in ((1.5, 10), (math.inf, 10), (100, -1), (100, math.nan)):
+        with pytest.raises(ParameterError, match="need finite k >= 2 and n >= 0"):
+            rate_envelope(k, n)
 
 
 def test_max_exp_cheby_stationarity_across_degrees_and_beta():
