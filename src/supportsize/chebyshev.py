@@ -76,12 +76,14 @@ def _origin_derivs(L: int, l, r) -> tuple[list[Fraction], Fraction]:
     return derivs, 2 / (rf - lf)
 
 
-def _shifted_coeffs_exact(L: int, l, r) -> list[Fraction]:
+# shifted_coeffs and g_table both start here: the coeffs command builds it once
+@functools.lru_cache(maxsize=1)
+def _shifted_coeffs_exact(L: int, l, r) -> tuple[Fraction, ...]:
     derivs, slope = _origin_derivs(L, l, r)
-    return [-(slope**j) * derivs[j] / (math.factorial(j) * derivs[0]) for j in range(L + 1)]
+    return tuple(-(slope**j) * derivs[j] / (math.factorial(j) * derivs[0]) for j in range(L + 1))
 
 
-def _doubles(name: str, exact: list[Fraction]) -> np.ndarray:
+def _doubles(name: str, exact: tuple[Fraction, ...]) -> np.ndarray:
     """Round exact coefficients to doubles, rejecting any beyond the double range."""
     out = []
     for j, v in enumerate(exact):
@@ -110,7 +112,7 @@ def g_table(L: int, l: float, r: float, n) -> CoefficientTable:
     if n < 1:
         raise ParameterError(f"sample size n must be >= 1, got {n}")
     a = _shifted_coeffs_exact(L, l, r)
-    g_exact = [1 + a[j] * math.factorial(j) / Fraction(n) ** j for j in range(L + 1)]
+    g_exact = tuple(1 + a[j] * math.factorial(j) / Fraction(n) ** j for j in range(L + 1))
     g = _doubles("g", g_exact)
     g_lo = np.array([float(v - Fraction(h)) for v, h in zip(g_exact, g)])
     g.flags.writeable = False

@@ -18,13 +18,13 @@ import numpy as np
 from . import theory
 from .chebyshev import g_table, shifted_coeffs
 from .errors import ParameterError, SupportSizeError
-from .estimators import (DEFAULT_CONFIG, DEFAULT_J, DEFAULT_T, ESTIMATORS, EstimatorConfig,
-                         check_arguments, degree_params, run_estimator)
+from .estimators import (DEFAULT_CONFIG, ESTIMATORS, EstimatorConfig, check_arguments,
+                         degree_params)
 from .ingest import (
     TokenizerConfig,
     _iter_decoded_lines,
     build_histogram,
-    check_seed,
+    check_resample,
     fingerprint_of,
     read_fingerprint_file,
     resample,
@@ -93,8 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
     est.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
     est.add_argument("--degree", type=int, default=None, help="override the polynomial degree L")
-    est.add_argument("--t", type=float, default=DEFAULT_T, help="extrapolation ratio for et/gtoulmin")
-    est.add_argument("--J", type=int, default=DEFAULT_J, help="series cutoff for the et estimator")
+    est.add_argument("--t", type=float, default=DEFAULT_CONFIG.t,
+                     help="extrapolation ratio for et/gtoulmin")
+    est.add_argument("--J", type=int, default=DEFAULT_CONFIG.J,
+                     help="series cutoff for the et estimator")
     est.add_argument("--clamp", action="store_true",
                      help="clamp the estimate into [plug-in count, k]")
     est.add_argument("--round", action="store_true", dest="round_output",
@@ -264,14 +266,14 @@ def _write_records(records: list[dict], ns) -> None:
 
 
 def _cmd_estimate(ns) -> list[dict]:
-    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
+    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree, t=ns.t, J=ns.J)
     # everything that needs no sample is checked before the input is opened
-    check_arguments(ns.estimator, ns.k, cfg, ns.t, ns.J)
+    check_arguments(ns.estimator, ns.k, cfg)
     if ns.resample_fraction is not None:  # the one use of the seed
         if ns.fingerprint:
             raise ParameterError("--resample-fraction needs --input: "
                                  "a fingerprint has no units to resample")
-        check_seed(ns.seed)
+        check_resample(ns.resample_fraction, ns.seed)
     if ns.fingerprint:
         fp = read_fingerprint_file(ns.fingerprint)
     else:
@@ -290,7 +292,7 @@ def _cmd_estimate(ns) -> list[dict]:
             fp = fingerprint_of(build_histogram(tokens))
 
     name = ns.estimator
-    res = run_estimator(name, fp, ns.k, cfg, ns.t, ns.J)
+    res = ESTIMATORS[name](fp, ns.k, cfg)
     value = res.value
     if ns.clamp:
         value = min(max(value, float(fp.distinct)), ns.k)
@@ -324,6 +326,7 @@ def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
 
 
 def _cmd_simulate(ns) -> list[dict]:
+    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1)
     family = parse_family(ns.family)
     if ns.n_grid:
         try:
@@ -341,8 +344,9 @@ def _cmd_simulate(ns) -> list[dict]:
         estimators=tuple(e.strip() for e in ns.estimators.split(",") if e.strip()),
         seed=ns.seed,
         sampling=ns.sampling,
+        cfg=cfg,
     )
-    return [dataclasses.asdict(r) for r in run_sweep(spec, EstimatorConfig(c0=ns.c0, c1=ns.c1))]
+    return [dataclasses.asdict(r) for r in run_sweep(spec)]
 
 
 def _cmd_probe(ns) -> list[dict]:

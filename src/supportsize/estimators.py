@@ -27,25 +27,34 @@ from .ingest import Fingerprint
 _MIN_WIDTH = 1e-3
 
 
+def _check_series(t: float, J: int = 1) -> None:
+    """The rules of the extrapolation ratio t (et, gtoulmin) and the cutoff J (et)."""
+    if not 0 < t < math.inf:
+        raise ParameterError(f"t must be finite and > 0, got {t}")
+    if J < 1:
+        raise ParameterError(f"J must be a positive integer, got {J}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Degree/interval constants; defaults follow the recommended c0=0.45, c1=0.5."""
+    """Every estimator constant: c0=0.45, c1=0.5 (recommended) and override_L of wy,
+    the extrapolation ratio t of et and gtoulmin, and the series cutoff J of et."""
 
     c0: float = 0.45
     c1: float = 0.5
     override_L: Optional[int] = None
+    t: float = 1.0
+    J: int = 10
 
     def __post_init__(self):
         if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
             raise ParameterError(
                 f"c0 and c1 must be positive and finite, got c0={self.c0}, c1={self.c1}"
             )
+        _check_series(self.t, self.J)
 
 
 DEFAULT_CONFIG = EstimatorConfig()
-# Extrapolation ratio t (et, gtoulmin) and series cutoff J (et) when none is given.
-DEFAULT_T = 1.0
-DEFAULT_J = 10
 
 
 @dataclass(frozen=True)
@@ -184,15 +193,9 @@ def chao_lee(fp: Fingerprint, variant: int = 1) -> Estimate:
     return Estimate.of(value, n=n, coverage=c, cv_sq=gamma_sq)
 
 
-def _check_series(t: float, J: int = DEFAULT_J) -> None:
-    """The rules of the extrapolation ratio t (et, gtoulmin) and the cutoff J (et)."""
-    if not 0 < t < math.inf:
-        raise ParameterError(f"t must be finite and > 0, got {t}")
-    if J < 1:
-        raise ParameterError(f"J must be a positive integer, got {J}")
-
-
-def efron_thisted(fp: Fingerprint, t: float = DEFAULT_T, J: int = DEFAULT_J) -> Estimate:
+def efron_thisted(
+    fp: Fingerprint, t: float = DEFAULT_CONFIG.t, J: int = DEFAULT_CONFIG.J
+) -> Estimate:
     """Binomial-smoothed series estimator (Efron & Thisted 1976).
 
     value = plug_in + sum_{j=1..J} (-1)^(j+1) t^j b_j h_j with
@@ -207,7 +210,7 @@ def efron_thisted(fp: Fingerprint, t: float = DEFAULT_T, J: int = DEFAULT_J) -> 
     return Estimate.of(value, n=fp.n, t=t, J=J)
 
 
-def good_toulmin(fp: Fingerprint, t: float = DEFAULT_T) -> Estimate:
+def good_toulmin(fp: Fingerprint, t: float = DEFAULT_CONFIG.t) -> Estimate:
     """Unsmoothed extrapolation series: plug_in + sum_j (-1)^(j+1) t^j h_j (Good & Toulmin 1956)."""
     _check_series(t)
     if fp.n < 1:
@@ -217,15 +220,15 @@ def good_toulmin(fp: Fingerprint, t: float = DEFAULT_T) -> Estimate:
 
 
 # The one token -> estimator table, shared by the CLI, sweeps and probes.
-# Entries are called as fn(fp, k, cfg, t, J); only et and gtoulmin use t and J.
+# Every entry is called as fn(fp, k, cfg).
 ESTIMATORS = {
-    "wy": lambda fp, k, cfg, t, J: chebyshev_estimate(fp, k, cfg),
-    "plugin": lambda fp, k, cfg, t, J: plug_in(fp),
-    "gt": lambda fp, k, cfg, t, J: good_turing(fp),
-    "cl1": lambda fp, k, cfg, t, J: chao_lee(fp, 1),
-    "cl2": lambda fp, k, cfg, t, J: chao_lee(fp, 2),
-    "et": lambda fp, k, cfg, t, J: efron_thisted(fp, t, J),
-    "gtoulmin": lambda fp, k, cfg, t, J: good_toulmin(fp, t),
+    "wy": chebyshev_estimate,
+    "plugin": lambda fp, k, cfg: plug_in(fp),
+    "gt": lambda fp, k, cfg: good_turing(fp),
+    "cl1": lambda fp, k, cfg: chao_lee(fp, 1),
+    "cl2": lambda fp, k, cfg: chao_lee(fp, 2),
+    "et": lambda fp, k, cfg: efron_thisted(fp, cfg.t, cfg.J),
+    "gtoulmin": lambda fp, k, cfg: good_toulmin(fp, cfg.t),
 }
 
 
@@ -235,30 +238,22 @@ def check_k(k: float) -> None:
         raise ParameterError(f"k must be finite and >= 1, got {k}")
 
 
-def check_arguments(token: str, k: Optional[float] = None, cfg: EstimatorConfig = DEFAULT_CONFIG,
-                    t: float = DEFAULT_T, J: int = DEFAULT_J) -> None:
+def check_arguments(token: str, k: Optional[float] = None,
+                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> None:
     """Every check of ``run_estimator``'s arguments that needs no sample, so a
-    caller can reject bad arguments before it reads one."""
+    caller can reject bad arguments before it reads or draws one.  ``cfg``
+    checked its own constants when it was built."""
     if token not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {token!r}; choose from {sorted(ESTIMATORS)}")
     if k is not None:
         check_k(k)
         if token == "wy":
             _degree(k, cfg)
-    if token == "et":
-        _check_series(t, J)
-    elif token == "gtoulmin":
-        _check_series(t)
 
 
 def run_estimator(
-    token: str,
-    fp: Fingerprint,
-    k: Optional[float] = None,
-    cfg: EstimatorConfig = DEFAULT_CONFIG,
-    t: float = DEFAULT_T,
-    J: int = DEFAULT_J,
+    token: str, fp: Fingerprint, k: Optional[float] = None, cfg: EstimatorConfig = DEFAULT_CONFIG
 ) -> Estimate:
     """Run the estimator registered under ``token`` in ``ESTIMATORS``, after ``check_arguments``."""
-    check_arguments(token, k, cfg, t, J)
-    return ESTIMATORS[token](fp, k, cfg, t, J)
+    check_arguments(token, k, cfg)
+    return ESTIMATORS[token](fp, k, cfg)

@@ -242,6 +242,13 @@ def check_seed(seed: int) -> None:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
 
+def check_resample(fraction: float, seed: int) -> None:
+    """The rules of ``resample``'s arguments, which need no units: 0 < fraction <= 1, a valid seed."""
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
+    check_seed(seed)
+
+
 def resample(units: Sequence, fraction: float, seed: int) -> list:
     """Draw ``ceil(fraction * len(units))`` units uniformly with replacement.
 
@@ -251,9 +258,7 @@ def resample(units: Sequence, fraction: float, seed: int) -> list:
     """
     if len(units) == 0:
         raise EmptyInputError("cannot resample from an empty corpus")
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
-    check_seed(seed)
+    check_resample(fraction, seed)
     m = math.ceil(fraction * len(units))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out: list = []

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UndefinedEstimatorError
-from .estimators import ESTIMATORS, DEFAULT_CONFIG, EstimatorConfig, run_estimator
+from .estimators import ESTIMATORS, DEFAULT_CONFIG, EstimatorConfig, check_arguments
 from .ingest import Fingerprint, check_seed
 from .synth import (DiscreteDistribution, check_sample_size, check_sampling, effective_k,
                     sample_fingerprint)
@@ -28,6 +28,7 @@ class SweepSpec:
     estimators: tuple = ("wy", "plugin", "gt")
     seed: int = 0
     sampling: str = "iid"
+    cfg: EstimatorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if not self.n_grid:
@@ -38,10 +39,8 @@ class SweepSpec:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
             raise ParameterError("estimators must be nonempty")
-        check_sampling(self.sampling)
-        unknown = [e for e in self.estimators if e not in ESTIMATORS]
-        if unknown:
-            raise ParameterError(f"unknown estimators {unknown}; choose from {sorted(ESTIMATORS)}")
+        for e in self.estimators:
+            check_arguments(e, effective_k(self.family), self.cfg)
         check_seed(self.seed)
         for n in self.n_grid:  # before the first trial, not where the sweep reaches n
             check_sample_size(n, self.sampling)
@@ -69,14 +68,15 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
 def _trial_value(
     estimator: str, fp: Fingerprint, k: float, cfg: EstimatorConfig
 ) -> Optional[float]:
-    """One estimator's value on one trial's sample, or None where it is undefined."""
+    """One estimator's value on one trial's sample, or None where it is undefined;
+    the arguments passed ``check_arguments`` before the first trial."""
     try:
-        return run_estimator(estimator, fp, k, cfg).value
+        return ESTIMATORS[estimator](fp, k, cfg).value
     except UndefinedEstimatorError:
         return None
 
 
-def run_sweep(spec: SweepSpec, cfg: EstimatorConfig = DEFAULT_CONFIG) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Mean/RMSE/stddev of each estimator at each n, against the true support size.
 
     Undefined-estimator trials (for example Good-Turing when no symbol
@@ -91,7 +91,7 @@ def run_sweep(spec: SweepSpec, cfg: EstimatorConfig = DEFAULT_CONFIG) -> list[Sw
             rng = trial_rng(spec.seed, ni, t)
             fp = sample_fingerprint(spec.family, n, rng, spec.sampling)
             for est in spec.estimators:
-                cells[est, n].append(_trial_value(est, fp, k, cfg))
+                cells[est, n].append(_trial_value(est, fp, k, spec.cfg))
     rows = []
     for (est, n), cell in cells.items():
         vals = np.array([v for v in cell if v is not None])
@@ -160,15 +160,16 @@ def probe_sample_complexity(
     trial counts as a failure.  epsilon >= 1/2 returns 0 (support sizes never
     exceed k, so the trivial estimate k/2 always lands within k/2).
     """
-    if estimator not in ESTIMATORS:
-        raise ParameterError(f"unknown estimator {estimator!r}")
+    k = effective_k(family)
+    check_arguments(estimator, k, cfg)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not 0 <= delta < 1:
         raise ParameterError(f"delta must be in [0, 1), got {delta}")
+    if ceiling is not None and ceiling < 1:
+        raise ParameterError(f"ceiling must be >= 1, got {ceiling}")
     check_sampling(sampling)
     check_seed(seed)
-    k = effective_k(family)
     if epsilon >= 0.5:
         return ProbeResult(estimator, epsilon, delta, k, 0, None, None, None,
                            trials, 0, False, [])

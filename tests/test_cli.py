@@ -344,6 +344,13 @@ def test_error_record_and_exit_code(tmp_path, capsys):
      "ParameterError"),
     (["theory", "certify", "--k", "1e6", "--n", "3000", "--epsilon", "0.15", "--order", "3",
       "--lam", "10"], "ParameterError"),
+    # the resampled fraction is checked before the input is opened
+    (["estimate", "--input", "/nonexistent/doc.txt", "--k", "60000", "--resample-fraction", "2"],
+     "ParameterError"),
+    (["probe", "--family", "uniform:k=100", "--epsilon", "0.2", "--ceiling", "-5"],
+     "ParameterError"),
+    # t and J are estimator constants, checked whichever estimator runs
+    (["estimate", "--k", "1e6", "--estimator", "plugin", "--t", "nan"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"
@@ -506,13 +513,22 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
     assert code == 2 and "true/false" in json.loads(err)["message"]
 
 
-def test_simulate_checks_its_whole_grid_before_the_first_trial(monkeypatch, capsys):
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--family", "uniform:k=10", "--n-grid", "1,100000000,1000000000",
+      "--trials", "3", "--estimators", "plugin"], "an iid sample needs n <= 1e+08, got 1000000000"),
+    # the estimators' arguments pass the same gate as in estimate, before any draw
+    (["simulate", "--family", "uniform:k=1000000", "--n-grid", "100000000", "--trials", "3",
+      "--estimators", "plugin,wy", "--c0", "1e9"], f"degree must be in 1..{MAX_DEGREE}, got "),
+    (["probe", "--family", "uniform:k=6", "--estimator", "wy", "--epsilon", "0.3"],
+     "degree rule gives L=0 for k="),
+], ids=["iid-cap", "wy-degree-cap", "probe-wy-L0"])
+def test_simulate_checks_its_whole_grid_before_the_first_trial(monkeypatch, capsys, argv,
+                                                               message):
     calls = []
     monkeypatch.setattr(sweep, "trial_rng", lambda *path: calls.append(path))
-    code, out, err = run_cli(capsys, "simulate", "--family", "uniform:k=10", "--n-grid",
-                             "1,100000000,1000000000", "--trials", "3", "--estimators", "plugin")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and calls == []
-    assert json.loads(err)["message"].startswith("an iid sample needs n <= 1e+08, got 1000000000")
+    assert json.loads(err)["message"].startswith(message)
 
 
 def test_fingerprint_format_error_is_domain_error(tmp_path, capsys):

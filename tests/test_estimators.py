@@ -1,5 +1,6 @@
 """Estimator contracts: degree rule, linear forms, baselines, invariances."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -233,7 +234,7 @@ def test_shakespeare_reproduction_exact():
 
 
 def test_estimator_config_validation():
-    for kwargs in ({"c0": 0.0}, {"c0": math.nan}, {"c1": math.inf}):
+    for kwargs in ({"c0": 0.0}, {"c0": math.nan}, {"c1": math.inf}, {"t": 0.0}, {"J": 0}):
         with pytest.raises(ParameterError):
             EstimatorConfig(**kwargs)
     # a given k is checked once for every token, whether or not it reads k
@@ -257,8 +258,12 @@ def test_estimator_config_validation():
     ("gtoulmin", 6e4, DEFAULT_CONFIG, -1.0, 10),
 ])
 def test_argument_checks_raise_what_the_estimator_raises(token, k, cfg, t, J):
-    # check_arguments runs the estimator's own checks without a sample
+    # the gate runs the estimator's own checks without a sample: t and J are
+    # checked where the config is built, the rest in check_arguments
+    fp = fp_of({1: 2, 2: 1})
+    estimator = {"wy": lambda: chebyshev_estimate(fp, k, cfg),
+                 "et": lambda: efron_thisted(fp, t, J), "gtoulmin": lambda: good_toulmin(fp, t)}
     with pytest.raises(ParameterError) as direct:
-        ss.ESTIMATORS[token](fp_of({1: 2, 2: 1}), k, cfg, t, J)
+        estimator[token]()
     with pytest.raises(type(direct.value), match=f"^{re.escape(str(direct.value))}$"):
-        check_arguments(token, k, cfg, t, J)
+        check_arguments(token, k, dataclasses.replace(cfg, t=t, J=J))

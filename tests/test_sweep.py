@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from supportsize import (
+    DegenerateDegreeError,
     DiscreteDistribution,
+    EstimatorConfig,
     ParameterError,
     ProbeResult,
     SweepRow,
@@ -20,7 +22,7 @@ from supportsize import (
     run_sweep,
     wilson_interval,
 )
-from supportsize import synth
+from supportsize import sweep, synth
 from supportsize.cli import _write_records
 from supportsize.sweep import CSV_COLUMNS
 
@@ -56,8 +58,13 @@ def test_spec_validation():
         SweepSpec(family=fam, n_grid=[10], trials=0)
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10], sampling="other")
-    with pytest.raises(ParameterError):
-        SweepSpec(family=fam, n_grid=[10], estimators=("nope",))
+    with pytest.raises(ParameterError, match=r"unknown estimator 'nope'; choose from \["):
+        SweepSpec(family=fam, n_grid=[10], estimators=("plugin", "nope"))
+    # each estimator's arguments pass the gate estimate runs, with the spec's config
+    with pytest.raises(DegenerateDegreeError):
+        SweepSpec(family=make_uniform(6), n_grid=[10], estimators=("plugin", "wy"))
+    with pytest.raises(ParameterError, match="degree must be in"):
+        SweepSpec(family=fam, n_grid=[10], estimators=("wy",), cfg=EstimatorConfig(override_L=101))
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10], estimators=())
     with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
@@ -78,6 +85,29 @@ def test_run_sweep_bit_reproducible():
     rows1 = run_sweep(spec)
     rows2 = run_sweep(spec)
     assert rows1 == rows2
+
+
+def test_run_sweep_reads_the_config_of_its_spec():
+    spec = SweepSpec(family=make_uniform(200), n_grid=[100], trials=4, estimators=("wy", "et"))
+    rows = run_sweep(spec)
+    assert run_sweep(dataclasses.replace(spec, cfg=EstimatorConfig())) == rows
+    changed = run_sweep(dataclasses.replace(spec, cfg=EstimatorConfig(c0=0.9, t=0.5, J=3)))
+    assert [r.mean_estimate != c.mean_estimate for r, c in zip(rows, changed)] == [True, True]
+
+
+def test_each_trial_calls_trial_rng_once(monkeypatch):
+    # the benchmark counts a run's trials by its calls of the module-global trial_rng
+    calls, real = [], sweep.trial_rng
+    monkeypatch.setattr(sweep, "trial_rng", lambda *path: calls.append(path) or real(*path))
+    run_sweep(SweepSpec(family=make_uniform(50), n_grid=[10, 40], trials=3,
+                        estimators=("wy", "plugin", "gt"), seed=4))
+    assert calls == [(4, ni, t) for ni in range(2) for t in range(3)]
+    calls.clear()
+    res = probe_sample_complexity(make_uniform(50), "plugin", 0.3, trials=5, seed=2)
+    starts = [path for path in calls if path[-1] == 0]  # (seed, salt, n, 0) opens an evaluation
+    assert [n for _, _, n, _ in starts] == [n for n, _ in res.evaluations]
+    assert len(calls) == sum(5 * (4 if salt else 1) for _, salt, _, _ in starts)
+    assert any(salt for _, salt, _, _ in starts)  # the 4x verification is counted too
 
 
 def test_run_sweep_point_mass_plug_in():
@@ -163,8 +193,13 @@ def test_probe_trivial_epsilon():
         probe_sample_complexity(make_uniform(10), "wy", 0.6, sampling="bogus")
     with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
         probe_sample_complexity(make_uniform(10), "wy", 0.6, seed=-1)
-    with pytest.raises(ParameterError, match="unknown estimator 'nope'"):
+    with pytest.raises(ParameterError, match=r"unknown estimator 'nope'; choose from \["):
         probe_sample_complexity(make_uniform(10), "nope", 0.6)
+    # so are the estimator's own arguments: wy has no degree at k = 6
+    with pytest.raises(DegenerateDegreeError):
+        probe_sample_complexity(make_uniform(6), "wy", 0.6)
+    with pytest.raises(ParameterError, match="ceiling must be >= 1"):
+        probe_sample_complexity(make_uniform(10), "wy", 0.6, ceiling=0)
 
 
 def test_probe_epsilon_below_resolution():
