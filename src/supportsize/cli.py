@@ -73,6 +73,22 @@ def _add_common(parser: argparse.ArgumentParser, run, fmt: str = "json") -> None
     parser.set_defaults(run=run, format=fmt, parser=parser)
 
 
+def _add_estimator_constants(parser: argparse.ArgumentParser) -> None:
+    """The flags of every ``EstimatorConfig`` field; ``_config`` reads them back."""
+    parser.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
+    parser.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
+    parser.add_argument("--degree", type=int, default=None,
+                        help="override the polynomial degree L")
+    parser.add_argument("--t", type=float, default=DEFAULT_CONFIG.t,
+                        help="extrapolation ratio for et/gtoulmin")
+    parser.add_argument("--J", type=int, default=DEFAULT_CONFIG.J,
+                        help="series cutoff for the et estimator")
+
+
+def _config(ns) -> EstimatorConfig:
+    return EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree, t=ns.t, J=ns.J)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="supportsize",
@@ -90,13 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--k", type=float, required=True,
                      help="reciprocal of the smallest possible nonzero mass")
     est.add_argument("--estimator", choices=sorted(ESTIMATORS), default="wy")
-    est.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
-    est.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
-    est.add_argument("--degree", type=int, default=None, help="override the polynomial degree L")
-    est.add_argument("--t", type=float, default=DEFAULT_CONFIG.t,
-                     help="extrapolation ratio for et/gtoulmin")
-    est.add_argument("--J", type=int, default=DEFAULT_CONFIG.J,
-                     help="series cutoff for the et estimator")
+    _add_estimator_constants(est)
     est.add_argument("--clamp", action="store_true",
                      help="clamp the estimate into [plug-in count, k]")
     est.add_argument("--round", action="store_true", dest="round_output",
@@ -122,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=50)
     sim.add_argument("--estimators", default="wy,plugin,gt")
     sim.add_argument("--sampling", choices=SAMPLING_MODES, default="iid")
-    sim.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
-    sim.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
+    _add_estimator_constants(sim)
 
     prb = sub.add_parser("probe", help="empirical sample complexity at a target accuracy")
     _add_common(prb, _cmd_probe)
@@ -134,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--trials", type=int, default=50)
     prb.add_argument("--ceiling", type=int, default=None)
     prb.add_argument("--sampling", choices=SAMPLING_MODES, default="iid")
+    _add_estimator_constants(prb)
 
     cfs = sub.add_parser("coeffs", help="dump the weight table (j, a_j, g_j), CSV by default")
     _add_common(cfs, _cmd_coeffs, "csv")
@@ -266,7 +276,7 @@ def _write_records(records: list[dict], ns) -> None:
 
 
 def _cmd_estimate(ns) -> list[dict]:
-    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree, t=ns.t, J=ns.J)
+    cfg = _config(ns)
     # everything that needs no sample is checked before the input is opened
     check_arguments(ns.estimator, ns.k, cfg)
     if ns.resample_fraction is not None:  # the one use of the seed
@@ -326,7 +336,7 @@ def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
 
 
 def _cmd_simulate(ns) -> list[dict]:
-    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1)
+    cfg = _config(ns)
     family = parse_family(ns.family)
     if ns.n_grid:
         try:
@@ -354,7 +364,7 @@ def _cmd_probe(ns) -> list[dict]:
     res = probe_sample_complexity(
         family, ns.estimator, ns.epsilon,
         delta=ns.delta, trials=ns.trials, seed=ns.seed,
-        ceiling=ns.ceiling, sampling=ns.sampling,
+        ceiling=ns.ceiling, cfg=_config(ns), sampling=ns.sampling,
     )
     rec = dataclasses.asdict(res)
     rec["evaluations"] = rec["evaluations"][-12:]  # keep the record short

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.special import betainc
-
 from .chebyshev import check_degree, g_table
 from .errors import DegenerateDegreeError, ParameterError, UndefinedEstimatorError
 from .ingest import Fingerprint
@@ -202,6 +200,8 @@ def efron_thisted(
     b_j = P[Binom(J, 1/(t+1)) >= j], the regularized incomplete beta
     I_{1/(t+1)}(j, J-j+1), evaluated at observed j only.
     """
+    from scipy.special import betainc  # loaded on first use, not by importing the package
+
     _check_series(t, J)
     if fp.n < 1:
         raise UndefinedEstimatorError("Efron-Thisted estimator needs at least one sample")

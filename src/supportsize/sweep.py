@@ -39,7 +39,9 @@ class SweepSpec:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
             raise ParameterError("estimators must be nonempty")
-        for e in self.estimators:
+        for i, e in enumerate(self.estimators):
+            if e in self.estimators[:i]:  # its trials would land twice in one cell
+                raise ParameterError(f"estimator {e!r} repeats in {self.estimators}")
             check_arguments(e, effective_k(self.family), self.cfg)
         check_seed(self.seed)
         for n in self.n_grid:  # before the first trial, not where the sweep reaches n

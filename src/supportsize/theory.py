@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.optimize import linprog
-from scipy.special import gammaln, xlogy
 
 from .chebyshev import MAX_DEGREE
 from .errors import ParameterError, PrecisionError, SolverError
@@ -151,7 +149,11 @@ def primal_value(L: int, a: float, b: float, grid_size: int) -> float:
     the best degree-L approximation error of 1/x on [a, b] (the duality this
     module exists to witness).  Moment constraints are expressed in the
     Chebyshev basis of the interval so the LP stays well conditioned.
+    HiGHS runs without presolve, which on this small dense system only costs
+    time; the tests pin the optimum to that of a solve with presolve.
     """
+    from scipy.optimize import linprog  # loaded on first use, not by importing the package
+
     if not 1.0 <= a < b < math.inf:
         raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
     if not 0 <= L <= MAX_DEGREE:
@@ -165,7 +167,8 @@ def primal_value(L: int, a: float, b: float, grid_size: int) -> float:
     b_eq = np.zeros(L + 2)
     b_eq[:2] = 1.0
     cost = np.concatenate([-1.0 / xs, 1.0 / xs])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"presolve": False})
     if res.status != 0:
         raise SolverError(f"moment-matching LP failed (status {res.status}): {res.message}")
     return float(-res.fun)
@@ -281,6 +284,8 @@ def poisson_tail_bound(lam: float, m: int) -> float:
 
 def _poisson_pmf(j: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """P[Poi(lam) = j], broadcast; the same log-space formula scipy.stats.poisson uses."""
+    from scipy.special import gammaln, xlogy  # loaded on first use
+
     return np.exp(xlogy(j, lam) - gammaln(j + 1) - lam)
 
 

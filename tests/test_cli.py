@@ -1,6 +1,7 @@
 """Command-line interface: records, formats, determinism, error codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,10 +11,12 @@ import sys
 import pytest
 
 from supportsize import (
+    EstimatorConfig,
     Fingerprint,
     SweepRow,
     SweepSpec,
     make_uniform,
+    probe_sample_complexity,
     run_sweep,
     write_fingerprint_file,
 )
@@ -49,9 +52,47 @@ def test_coeffs_csv(capsys):
                     for r in rows]
 
 
+def _scipy_loaded_after(code: str) -> list:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    check = code + "\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + check],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
-    check = "import sys, supportsize.cli; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], check=True)
+    # scipy is loaded on first use, by the functions that call it, not by an import
+    assert _scipy_loaded_after("import supportsize.cli") == []
+    assert _scipy_loaded_after("import supportsize") == []
+
+
+def test_scipy_is_loaded_only_by_the_functions_that_use_it():
+    runs = """
+import contextlib, io
+from importlib.resources import files
+from supportsize.cli import main
+table = str(files("supportsize.data").joinpath("shakespeare_et_table1.txt"))
+argvs = [["estimate", "--fingerprint", table, "--k", "1e5"],
+         ["probe", "--family", "uniform:k=1000", "--epsilon", "0.3", "--trials", "5"],
+         ["simulate", "--family", "uniform:k=1000", "--n-grid", "100,300", "--trials", "2",
+          "--estimators", "plugin,wy,gt,cl1,cl2,gtoulmin"]]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+"""
+    assert _scipy_loaded_after(runs) == []
+    # each function that uses scipy loads it: et, the Poisson pmf of tv and the LP
+    uses = runs + """
+for argv in (["estimate", "--fingerprint", table, "--k", "1e5", "--estimator", "et"],
+             ["theory", "approx", "--degree", "3", "--a", "1", "--b", "30"],
+             ["theory", "tv", "--order", "3", "--lam", "10", "--scale", "0.1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+import supportsize
+assert supportsize.primal_value(2, 1.0, 10.0, 60) > 0
+"""
+    loaded = _scipy_loaded_after(uses)
+    assert {"scipy.special", "scipy.optimize"} <= set(loaded)
 
 
 def test_estimate_from_fingerprint_file(tmp_path, capsys):
@@ -196,6 +237,25 @@ def test_probe_cli(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["n_star"] == 0
+
+
+def test_probe_and_simulate_take_the_estimator_constants(capsys):
+    argv = ("probe", "--family", "uniform:k=1000", "--epsilon", "0.3", "--trials", "10")
+    code, out, _ = run_cli(capsys, *argv, "--c0", "0.6")
+    assert code == 0
+    res = probe_sample_complexity(make_uniform(1000), "wy", 0.3, trials=10,
+                                  cfg=EstimatorConfig(c0=0.6))
+    rec = dataclasses.asdict(res)
+    rec["evaluations"] = [list(e) for e in rec["evaluations"][-12:]]
+    assert json.loads(out) == rec
+    assert run_cli(capsys, *argv)[1] != out  # the default c0 gives another record
+
+    code, out, _ = run_cli(capsys, "simulate", "--family", "uniform:k=1000", "--n-grid", "200,600",
+                           "--trials", "4", "--estimators", "et", "--t", "2", "--format", "json")
+    assert code == 0
+    rows = run_sweep(SweepSpec(family=make_uniform(1000), n_grid=[200, 600], trials=4,
+                               estimators=("et",), cfg=EstimatorConfig(t=2.0)))
+    assert [SweepRow(**json.loads(line)) for line in out.splitlines()] == rows
 
 
 def test_theory_approx_cli(capsys):
@@ -351,6 +411,10 @@ def test_error_record_and_exit_code(tmp_path, capsys):
      "ParameterError"),
     # t and J are estimator constants, checked whichever estimator runs
     (["estimate", "--k", "1e6", "--estimator", "plugin", "--t", "nan"], "ParameterError"),
+    # a repeated estimator would put two values of each trial into one cell
+    (["simulate", "--family", "uniform:k=1000", "--n-grid", "500", "--trials", "5",
+      "--estimators", "wy,wy"], "ParameterError"),
+    (["probe", "--family", "uniform:k=1000", "--epsilon", "0.3", "--t", "nan"], "ParameterError"),
 ])
 def test_bad_numbers_are_one_line_domain_errors(tmp_path, capsys, argv, error):
     path = tmp_path / "fp.txt"

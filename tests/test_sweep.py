@@ -67,6 +67,9 @@ def test_spec_validation():
         SweepSpec(family=fam, n_grid=[10], estimators=("wy",), cfg=EstimatorConfig(override_L=101))
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10], estimators=())
+    # a repeated token would run twice per trial and double its cell's values
+    with pytest.raises(ParameterError, match=r"estimator 'wy' repeats in \('wy', 'plugin', 'wy'\)"):
+        SweepSpec(family=fam, n_grid=[10], estimators=("wy", "plugin", "wy"))
     with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
         SweepSpec(family=fam, n_grid=[10], seed=-1)
     # each n of the grid meets the sampler's size rules before any trial

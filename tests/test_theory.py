@@ -367,12 +367,14 @@ def test_lecam_certificate_terms_beyond_double_range_are_infinite():
 
 
 def test_primal_value_equals_the_row_by_row_lp():
-    # reference: the equality rows appended one at a time, solved by the same HiGHS call
+    # reference: the equality rows appended one at a time, solved by HiGHS with its presolve
     from numpy.polynomial import chebyshev as cheb
     from scipy.optimize import linprog
 
+    # primal_value solves without presolve; the lab-sized cases take HiGHS 500-950 iterations
     for L, a, b, grid in [(0, 1.0, 10.0, 50), (1, 1.0, 6.0, 80), (3, 1.5, 30.0, 400),
-                          (5, 2.0, 40.0, 300)]:
+                          (5, 2.0, 40.0, 300), (3, 2.0, 40.0, 2000), (4, 1.2, 30.0, 2000),
+                          (5, 3.0, 45.0, 2000)]:
         xs = np.linspace(a, b, grid)
         basis = cheb.chebvander((2.0 * xs - a - b) / (b - a), L)
         rows = [np.concatenate([np.ones(grid), np.zeros(grid)]),
