@@ -31,12 +31,7 @@ from .ingest import (
     split_paragraphs,
     tokenize,
 )
-from .sweep import (
-    CSV_COLUMNS,
-    SweepSpec,
-    probe_sample_complexity,
-    run_sweep,
-)
+from .sweep import CSV_COLUMNS, SweepSpec, probe_sample_complexity, run_sweep
 from .synth import SAMPLING_MODES, parse_family
 
 
@@ -73,16 +68,20 @@ def _add_common(parser: argparse.ArgumentParser, run, fmt: str = "json") -> None
     parser.set_defaults(run=run, format=fmt, parser=parser)
 
 
-def _add_estimator_constants(parser: argparse.ArgumentParser) -> None:
-    """The flags of every ``EstimatorConfig`` field; ``_config`` reads them back."""
+def _add_estimator_constants(parser: argparse.ArgumentParser, series: bool = True) -> None:
+    """The flags of the ``EstimatorConfig`` fields, ``--t``/``--J`` only with ``series``;
+    ``_config`` reads them back."""
     parser.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
     parser.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
     parser.add_argument("--degree", type=int, default=None,
                         help="override the polynomial degree L")
-    parser.add_argument("--t", type=float, default=DEFAULT_CONFIG.t,
-                        help="extrapolation ratio for et/gtoulmin")
-    parser.add_argument("--J", type=int, default=DEFAULT_CONFIG.J,
-                        help="series cutoff for the et estimator")
+    if series:
+        parser.add_argument("--t", type=float, default=DEFAULT_CONFIG.t,
+                            help="extrapolation ratio for et/gtoulmin")
+        parser.add_argument("--J", type=int, default=DEFAULT_CONFIG.J,
+                            help="series cutoff for the et estimator")
+    else:  # the command runs their defaults
+        parser.set_defaults(t=DEFAULT_CONFIG.t, J=DEFAULT_CONFIG.J)
 
 
 def _config(ns) -> EstimatorConfig:
@@ -149,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cfs, _cmd_coeffs, "csv")
     cfs.add_argument("--k", type=float, required=True)
     cfs.add_argument("--n", type=int, required=True)
-    cfs.add_argument("--c0", type=float, default=DEFAULT_CONFIG.c0)
-    cfs.add_argument("--c1", type=float, default=DEFAULT_CONFIG.c1)
-    cfs.add_argument("--degree", type=int, default=None)
+    _add_estimator_constants(cfs, series=False)
 
     thy = sub.add_parser("theory", help="lower-bound laboratory")
     thysub = thy.add_subparsers(dest="action", required=True)
@@ -301,15 +298,14 @@ def _cmd_estimate(ns) -> list[dict]:
                 tokens = resample(paras, ns.resample_fraction, ns.seed)
             fp = fingerprint_of(build_histogram(tokens))
 
-    name = ns.estimator
-    res = ESTIMATORS[name](fp, ns.k, cfg)
+    res = ESTIMATORS[ns.estimator](fp, ns.k, cfg)
     value = res.value
     if ns.clamp:
         value = min(max(value, float(fp.distinct)), ns.k)
     if ns.round_output:
         value = float(round(value))
     return [{
-        "estimator": name,
+        "estimator": ns.estimator,
         "value": value,
         "rounded": round(value),
         "n": fp.n,
@@ -331,8 +327,7 @@ def _geometric_grid(n_min: int, n_max: int, points: int) -> list[int]:
         raise ParameterError(
             f"need 1 <= n-min < n-max < 2^63 and 2 <= n-points <= {MAX_GRID_POINTS:.3g}")
     raw = np.geomspace(n_min, n_max, points)
-    grid = sorted({int(round(v)) for v in raw})
-    return grid
+    return sorted({int(round(v)) for v in raw})
 
 
 def _cmd_simulate(ns) -> list[dict]:
@@ -372,8 +367,7 @@ def _cmd_probe(ns) -> list[dict]:
 
 
 def _cmd_coeffs(ns) -> list[dict]:
-    cfg = EstimatorConfig(c0=ns.c0, c1=ns.c1, override_L=ns.degree)
-    L, l, r = degree_params(ns.k, ns.n, cfg)
+    L, l, r = degree_params(ns.k, ns.n, _config(ns))
     a = shifted_coeffs(L, l, r)
     g = g_table(L, l, r, ns.n).g
     return [{"j": j, "a_j": float(a[j]), "g_j": float(g[j])} for j in range(L + 1)]

@@ -180,8 +180,6 @@ def fingerprint_of(hist: Histogram) -> Fingerprint:
 def fingerprint_from_counts(counts: np.ndarray) -> Fingerprint:
     """Fingerprint of a count vector (zeros ignored); the one tally of counts into h_j."""
     nz = counts[counts > 0]
-    if nz.size == 0:
-        return Fingerprint(h={}, n=0)
     mult, num = np.unique(nz, return_counts=True)
     n = int(np.dot(mult, num))
     return Fingerprint(h=dict(zip(mult.tolist(), num.tolist())), n=n)

@@ -20,6 +20,13 @@ from .ingest import Fingerprint, check_seed
 from .synth import (DiscreteDistribution, check_sample_size, check_sampling, effective_k,
                     sample_fingerprint)
 
+
+def _check_trials(trials: int) -> None:
+    """Every sweep cell and probe evaluation runs at least one trial."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     family: DiscreteDistribution
@@ -35,8 +42,7 @@ class SweepSpec:
             raise ParameterError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ParameterError(f"n_grid must be strictly increasing, got {self.n_grid}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        _check_trials(self.trials)
         if not self.estimators:
             raise ParameterError("estimators must be nonempty")
         for i, e in enumerate(self.estimators):
@@ -164,8 +170,7 @@ def probe_sample_complexity(
     """
     k = effective_k(family)
     check_arguments(estimator, k, cfg)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if not 0 <= delta < 1:
         raise ParameterError(f"delta must be in [0, 1), got {delta}")
     if ceiling is not None and ceiling < 1:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .chebyshev import MAX_DEGREE
+from .chebyshev import check_degree
 from .errors import ParameterError, PrecisionError, SolverError
 
 _TAIL_CERT = 1e-12  # certified Poisson tail mass for exact TV truncation
@@ -50,6 +50,12 @@ class ApproxResult:
         return 1.0 / np.asarray(x, dtype=float) - self._series(x)
 
 
+def _check_interval(a: float, b: float) -> None:
+    """The lab's interval rule: 1/x is approximated on [a, b] with 1 <= a < b < inf."""
+    if not 1.0 <= a < b < math.inf:
+        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
+
+
 def closed_form_error(L: int, a: float, b: float) -> float:
     """E_{L-1}(1/x, [a, b]): best degree-(L-1) approximation error in closed form.
 
@@ -57,8 +63,7 @@ def closed_form_error(L: int, a: float, b: float) -> float:
     classical formula for the interval [1+nu, lambda], reparameterized by the
     endpoints (it is scale-covariant, so any 1 <= a < b < inf is valid).
     """
-    if not 1.0 <= a < b < math.inf:
-        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
+    _check_interval(a, b)
     if L < 1:
         raise ParameterError(f"need L >= 1, got {L}")
     s = math.sqrt(a / b)
@@ -74,10 +79,8 @@ def best_inv_approx(degree: int, a: float, b: float) -> ApproxResult:
     The polynomial is carried in the Chebyshev basis of the interval for
     conditioning and converted to monomial coefficients only for output.
     """
-    if not 1.0 <= a < b < math.inf:
-        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ParameterError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+    _check_interval(a, b)
+    check_degree(degree, 0)
     m = degree + 2
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     x = mid - half * np.cos(np.pi * np.arange(m) / (m - 1))  # reference, ascending in [a, b]
@@ -154,10 +157,8 @@ def primal_value(L: int, a: float, b: float, grid_size: int) -> float:
     """
     from scipy.optimize import linprog  # loaded on first use, not by importing the package
 
-    if not 1.0 <= a < b < math.inf:
-        raise ParameterError(f"need 1 <= a < b < inf, got a={a}, b={b}")
-    if not 0 <= L <= MAX_DEGREE:
-        raise ParameterError(f"need 0 <= L <= {MAX_DEGREE}, got {L}")
+    _check_interval(a, b)
+    check_degree(L, 0)
     if grid_size < L + 2:
         raise ParameterError(f"grid_size must be >= L+2 = {L + 2}, got {grid_size}")
     xs = np.linspace(a, b, grid_size)
@@ -232,8 +233,7 @@ def construct_prior_pair(L: int, nu: float, lam: float) -> PriorPair:
         raise ParameterError(f"nu must be finite and >= 0, got {nu}")
     if not 1 + nu < lam < math.inf:
         raise ParameterError(f"need 1 + nu < lam < inf, got lam={lam}, nu={nu}")
-    if not 1 <= L <= MAX_DEGREE:
-        raise ParameterError(f"need 1 <= L <= {MAX_DEGREE}, got {L}")
+    check_degree(L)
     a, b = 1.0 + nu, lam
     approx = best_inv_approx(L - 1, a, b)
     x = approx.extrema  # L + 1 >= 2 points, ascending
@@ -376,8 +376,7 @@ def tv_bound(lam_max: float, L: int) -> TvBound:
     sharing their first L moments."""
     if not 0 < lam_max < math.inf:
         raise ParameterError(f"lam_max must be finite and > 0, got {lam_max}")
-    if not 1 <= L <= MAX_DEGREE:
-        raise ParameterError(f"L must be in 1..{MAX_DEGREE}, got {L}")
+    check_degree(L)
     half = lam_max / 2.0
     full = _pow(half, L + 1) / math.factorial(L + 1) * (
         2.0 + _pow(2.0, half - L) + _pow(2.0, lam_max / (2.0 * math.log(2.0)) - L)

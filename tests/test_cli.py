@@ -15,13 +15,14 @@ from supportsize import (
     Fingerprint,
     SweepRow,
     SweepSpec,
+    degree_params,
     make_uniform,
     probe_sample_complexity,
     run_sweep,
     write_fingerprint_file,
 )
 from supportsize import sweep
-from supportsize.chebyshev import MAX_DEGREE
+from supportsize.chebyshev import MAX_DEGREE, g_table, shifted_coeffs
 from supportsize.cli import main
 from supportsize.theory import MAX_TV_CUTOFF
 from supportsize.sweep import CSV_COLUMNS
@@ -50,6 +51,23 @@ def test_coeffs_csv(capsys):
     assert [list(rec) for rec in recs] == [["j", "a_j", "g_j"]] * len(rows)
     assert recs == [{"j": int(r["j"]), "a_j": float(r["a_j"]), "g_j": float(r["g_j"])}
                     for r in rows]
+
+
+def test_coeffs_takes_the_shared_estimator_constants(tmp_path, capsys):
+    argv = ("coeffs", "--k", "1e6", "--n", "200000", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--c0", "0.6", "--c1", "0.7", "--degree", "5")
+    assert code == 0
+    L, l, r = degree_params(1e6, 200000, EstimatorConfig(c0=0.6, c1=0.7, override_L=5))
+    a, g = shifted_coeffs(L, l, r), g_table(L, l, r, 200000).g
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"j": j, "a_j": float(a[j]), "g_j": float(g[j])} for j in range(L + 1)]
+    cfg = tmp_path / "c.conf"
+    cfg.write_text("c0=0.6\nc1=0.7\ndegree=5\nt=2\n")  # coeffs has no t: the key is ignored
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--t", "2"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ArgumentError"
 
 
 def _scipy_loaded_after(code: str) -> list:

@@ -18,8 +18,10 @@ from supportsize import (
     build_histogram,
     fingerprint_from_counts,
     fingerprint_of,
+    parse_family,
     read_fingerprint_file,
     resample,
+    sample_fingerprint,
     split_paragraphs,
     tokenize,
     write_fingerprint_file,
@@ -140,12 +142,18 @@ def test_fingerprint_relabeling_invariance():
 def test_fingerprint_from_counts_matches_histogram_route():
     # both public routes against a tally of the symbols made in the test
     random_counts = np.random.default_rng(3).integers(0, 6, size=200)
-    for counts in (random_counts, np.zeros(5, dtype=np.int64), np.array([0, 7, 0])):
+    empty = np.array([], dtype=np.int64)
+    for counts in (random_counts, np.zeros(5, dtype=np.int64), empty, np.array([0, 7, 0])):
         symbols = np.repeat(np.arange(counts.size), counts).tolist()
         expected = dict(Counter(Counter(symbols).values()))
         for fp in (fingerprint_from_counts(counts), fingerprint_of(build_histogram(symbols))):
             assert dict(fp.items()) == expected
             assert fp.n == len(symbols)
+    # the general tally serves an empty sample too, a drawn one of size 0 included
+    draw = sample_fingerprint(parse_family("uniform:k=10"), 0, np.random.default_rng(0))
+    for fp in (fingerprint_from_counts(np.zeros(5, dtype=np.int64)),
+               fingerprint_from_counts(empty), draw):
+        assert fp == Fingerprint(h={}, n=0) and type(fp.n) is int
 
 
 def test_fingerprint_file_round_trip(tmp_path):

@@ -54,7 +54,7 @@ def test_spec_validation():
         SweepSpec(family=fam, n_grid=[10, 10])
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10, 5])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1, got 0$"):
         SweepSpec(family=fam, n_grid=[10], trials=0)
     with pytest.raises(ParameterError):
         SweepSpec(family=fam, n_grid=[10], sampling="other")
@@ -203,6 +203,8 @@ def test_probe_trivial_epsilon():
         probe_sample_complexity(make_uniform(6), "wy", 0.6)
     with pytest.raises(ParameterError, match="ceiling must be >= 1"):
         probe_sample_complexity(make_uniform(10), "wy", 0.6, ceiling=0)
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1, got 0$"):
+        probe_sample_complexity(make_uniform(10), "wy", 0.6, trials=0)
 
 
 def test_probe_epsilon_below_resolution():

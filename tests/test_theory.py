@@ -111,7 +111,7 @@ def test_primal_value_grid_precondition():
     with pytest.raises(ParameterError, match="need 1 <= a < b < inf"):
         primal_value(3, 5.0, 1.0, 400)
     for L in (-1, MAX_DEGREE + 1):
-        with pytest.raises(ParameterError, match="need 0 <= L <= "):
+        with pytest.raises(ParameterError, match=rf"degree must be in 0\.\.{MAX_DEGREE}, got "):
             primal_value(L, 1.0, 5.0, 400)
 
 
@@ -147,6 +147,22 @@ def test_prior_pair_preconditions():
         construct_prior_pair(2, -0.1, 5.0)
     with pytest.raises(ParameterError):
         construct_prior_pair(2, 0.5, 1.2)
+
+
+def test_each_lab_argument_rule_has_one_wording():
+    # an order L matches moments 1..L; a polynomial degree may be 0
+    orders = (lambda L: construct_prior_pair(L, 0.1, 5.0), lambda L: tv_bound(2.0, L))
+    degrees = (lambda d: best_inv_approx(d, 1.0, 5.0), lambda d: primal_value(d, 1.0, 5.0, 400))
+    for calls, lowest in ((orders, 1), (degrees, 0)):
+        for call in calls:
+            for L in (lowest - 1, MAX_DEGREE + 1):
+                with pytest.raises(ParameterError,
+                                   match=rf"^degree must be in {lowest}\.\.{MAX_DEGREE}, got {L}$"):
+                    call(L)
+    for call in (lambda: closed_form_error(2, 5.0, 1.0), lambda: best_inv_approx(2, 5.0, 1.0),
+                 lambda: primal_value(2, 5.0, 1.0, 400)):
+        with pytest.raises(ParameterError, match=r"^need 1 <= a < b < inf, got a=5\.0, b=1\.0$"):
+            call()
 
 
 def test_tv_exact_identical_mixtures():
@@ -206,7 +222,7 @@ def test_tv_bound_values():
         with pytest.raises(ParameterError, match="lam_max must be finite and > 0"):
             tv_bound(lam_max, 4)
     for L in (0, MAX_DEGREE + 1):
-        with pytest.raises(ParameterError, match="L must be in 1.."):
+        with pytest.raises(ParameterError, match=rf"degree must be in 1\.\.{MAX_DEGREE}, got "):
             tv_bound(2.0, L)
     assert deep.full == pytest.approx(
         (1.0) ** 13 / math.factorial(13)
