@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = est.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="text file of tokens (whitespace separated)")
     src.add_argument("--fingerprint", help="fingerprint file with 'j h_j' lines")
-    est.add_argument("--encoding", default="utf-8")
+    est.add_argument("--encoding", default="utf-8",
+                     help="Python text codec of the --input file (default utf-8); "
+                          "an invalid byte is a DecodeError giving its offset")
     est.add_argument("--k", type=float, required=True,
                      help="reciprocal of the smallest possible nonzero mass")
     est.add_argument("--estimator", choices=sorted(ESTIMATORS), default="wy")
@@ -110,8 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="clamp the estimate into [plug-in count, k]")
     est.add_argument("--round", action="store_true", dest="round_output",
                      help="report the rounded value as the estimate")
-    est.add_argument("--no-case-fold", action="store_true")
-    est.add_argument("--keep-punctuation", action="store_true")
+    est.add_argument("--no-case-fold", action="store_true",
+                     help="keep case; by default text is lowercased with str.lower")
+    est.add_argument("--keep-punctuation", action="store_true",
+                     help="keep every character; by default a character is kept exactly "
+                          "when str.isalnum() or str.isspace() holds, and a token left "
+                          "empty is dropped")
     est.add_argument("--resample-fraction", type=float, default=None,
                      help="resample this fraction of units with replacement before estimating")
     est.add_argument("--resample-unit", choices=["word", "paragraph"], default="word")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import codecs
 import io
+import itertools
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -29,9 +29,27 @@ from .errors import (
 TokenSource = Union[str, bytes, IO, Iterable[str]]
 
 _CHUNK_BYTES = 1 << 16
-# every character that is neither alphanumeric (str.isalnum) nor whitespace
-# (str.isspace); no character is both, and \w is exactly isalnum plus "_"
-_NOT_ALNUM_OR_SPACE = re.compile(r"[^\w\s]|_")
+_TABLE_MAX = 1 << 16
+
+
+class _KeepAlnumOrSpace(dict):
+    """``str.translate`` table that keeps a character exactly when
+    ``str.isalnum`` or ``str.isspace`` holds and deletes it otherwise.
+
+    An answer is computed on first sight and stored while the table holds
+    fewer than ``_TABLE_MAX`` entries, so the table stays near 4.7 MB however
+    many distinct code points it meets (all of them would take 78 MB).
+    """
+
+    def __missing__(self, c: int):
+        ch = chr(c)
+        keep = c if ch.isalnum() or ch.isspace() else None
+        if len(self) < _TABLE_MAX:
+            self[c] = keep
+        return keep
+
+
+_TABLE = _KeepAlnumOrSpace()
 
 
 @dataclass(frozen=True)
@@ -151,18 +169,23 @@ def tokenize(
     """Split text into tokens on whitespace, one streaming pass.
 
     Tokens are lowercased when ``cfg.case_fold`` and stripped of every
-    character that is not a letter or digit when ``cfg.strip_punctuation``;
+    character that is not ``str.isalnum`` when ``cfg.strip_punctuation``;
     tokens that become empty are dropped.  ``source`` may be a string, raw
     bytes, an open (text or binary) file, or an iterable of lines.  Bytes are
     decoded with any Python text codec; invalid bytes raise
-    :class:`DecodeError` carrying the byte offset.
+    :class:`DecodeError` carrying the byte offset.  The tokens come lazily:
+    nothing is read or checked before the first one is requested.
     """
-    for line in _iter_decoded_lines(source, encoding):
-        if cfg.case_fold:
-            line = line.lower()
-        if cfg.strip_punctuation:
-            line = _NOT_ALNUM_OR_SPACE.sub("", line)
-        yield from line.split()
+    def lines() -> Iterator[str]:
+        for line in _iter_decoded_lines(source, encoding):
+            if cfg.case_fold:
+                line = line.lower()
+            if cfg.strip_punctuation:
+                line = line.translate(_TABLE)
+            yield line
+
+    # split and hand out tokens in C, with no Python frame per token
+    return itertools.chain.from_iterable(map(str.split, lines()))
 
 
 def build_histogram(tokens: Iterable) -> Histogram:

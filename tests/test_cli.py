@@ -176,6 +176,14 @@ def test_estimate_from_token_file(tmp_path, capsys):
                            "--k", "100", "--estimator", "plugin")
     assert code == 0
     assert json.loads(out) == rec
+    # the three tokenizer flags state their rules in the help
+    with pytest.raises(SystemExit):
+        main(["estimate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for rule in ("--encoding ENCODING Python text codec",
+                 "--no-case-fold keep case; by default text is lowercased with str.lower",
+                 "kept exactly when str.isalnum() or str.isspace() holds"):
+        assert rule in text, rule
 
 
 def test_estimate_resample_deterministic(tmp_path, capsys):

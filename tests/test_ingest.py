@@ -89,6 +89,34 @@ def test_tokenize_decodes_the_stream_as_a_whole():
             list(tokenize(b"ab", encoding=codec))
 
 
+class CountingBytesIO(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_tokenize_streams():
+    # the first token costs one 64 KiB read of a stream several chunks long
+    source = CountingBytesIO(b"word\n" * 60_000)
+    tokens = tokenize(source)
+    assert source.reads == 0
+    assert next(tokens) == "word"
+    assert source.reads == 1
+    assert sum(1 for _ in tokens) == 60_000 - 1
+    assert source.reads > 4
+    # nothing is decoded or checked until the first token is requested
+    tokens = tokenize(b"ok \xff")
+    with pytest.raises(DecodeError):
+        list(tokens)
+    tokens = tokenize(b"ab", encoding="no-such-codec")
+    with pytest.raises(ParameterError):
+        next(tokens)
+
+
 def test_build_histogram_examples():
     h = build_histogram(["a", "b", "a", "c"])
     assert dict(h.counts) == {"a": 2, "b": 1, "c": 1}

@@ -31,6 +31,7 @@ from supportsize import (
     tokenize,
     write_fingerprint_file,
 )
+from supportsize import ingest
 from supportsize.cli import main
 
 # derandomized so the suite is reproducible; to explore further, drop
@@ -341,3 +342,5 @@ def test_tokenize_matches_per_token_filter_on_every_code_point():
     for case_fold in (True, False):
         cfg = TokenizerConfig(case_fold=case_fold)
         assert list(tokenize(text, cfg)) == reference_tokens(text, cfg)
+    # the translate table met every code point but stores at most 1 << 16 answers
+    assert len(ingest._TABLE) == 1 << 16
